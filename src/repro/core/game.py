@@ -358,6 +358,104 @@ def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
     return schedules
 
 
+#: Most periods one array pass of :func:`guaranteed_adaptive_work` holds.
+#: Blocks are whole states, so a single longer schedule is a block alone.
+_BLOCK_PERIODS = 1 << 16
+
+
+def _state_blocks(counts: np.ndarray):
+    """``(start, stop)`` runs of consecutive states, each run holding at
+    most :data:`_BLOCK_PERIODS` periods (or one state that alone holds
+    more)."""
+    start = total = 0
+    for i, n in enumerate(counts.tolist()):
+        if total and total + n > _BLOCK_PERIODS:
+            yield start, i
+            start, total = i, 0
+        total += n
+    if total:
+        yield start, len(counts)
+
+
+class _Block:
+    """Per-period arrays of a block of states, rows ordered by period count.
+
+    Row ``r`` is state ``rows[r]`` of the block; its periods sit at
+    ``starts[r]`` onwards in the flat arrays.  With rows of one period
+    count adjacent, each count's rows form one ``(rows, n)`` matrix view,
+    and a ``cumsum`` or ``sum`` along its rows is the 1-D one of each row,
+    bit for bit: ``children`` (``residual − T_j``) and ``banked`` (work
+    banked before period ``j``) equal what the schedule's own
+    ``finish_times`` give, ``uninterrupted`` its ``work_if_uninterrupted``,
+    and no row is padded.  ``banked``/``uninterrupted`` only ``with_work``.
+    """
+
+    def __init__(self, schedules: Sequence[EpisodeSchedule],
+                 residuals: np.ndarray, state_counts: np.ndarray, c: float,
+                 *, with_work: bool):
+        self.state_counts = state_counts
+        self.rows = rows = np.argsort(state_counts, kind="stable")
+        self.counts = counts = state_counts[rows]
+        self.starts = starts = _offsets(counts)
+        periods = np.concatenate([schedules[i].periods for i in rows.tolist()])
+        finish = np.empty_like(periods)
+        if with_work:
+            works = np.maximum(periods - c, 0.0)
+            running = np.empty_like(works)
+            self.uninterrupted = np.empty(counts.size)
+        edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+        offsets = starts.tolist()
+        for first, stop in zip(edges[:-1], edges[1:]):
+            n = int(counts[first])
+            span = slice(offsets[first], offsets[first] + (stop - first) * n)
+            np.add.accumulate(periods[span].reshape(-1, n), axis=1,
+                              out=finish[span].reshape(-1, n))
+            if with_work:
+                matrix = works[span].reshape(-1, n)
+                np.add.accumulate(matrix, axis=1,
+                                  out=running[span].reshape(-1, n))
+                self.uninterrupted[first:stop] = np.add.reduce(matrix, axis=1)
+        self.children = np.repeat(residuals[rows], counts) - finish
+        if with_work:
+            # Banked before period j = running sum through period j - 1.
+            self.banked = np.empty_like(running)
+            self.banked[1:] = running[:-1]
+            self.banked[starts] = 0.0
+
+    def children_in_state_order(self) -> np.ndarray:
+        """:attr:`children` with the rows back in state order."""
+        shift = np.repeat(_offsets(self.state_counts)[self.rows] - self.starts,
+                          self.counts)
+        ordered = np.empty_like(self.children)
+        ordered[np.arange(shift.size) + shift] = self.children
+        return ordered
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each row of ``counts`` periods in a flat array."""
+    offsets = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return offsets
+
+
+def _first_reached(keys: np.ndarray) -> np.ndarray:
+    """Indices of each distinct key's first occurrence, in occurrence order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.sort(order[first], kind="stable")
+
+
+def _period_counts(schedules: Sequence[EpisodeSchedule]) -> np.ndarray:
+    counts = np.fromiter((schedule.num_periods for schedule in schedules),
+                         dtype=np.int64, count=len(schedules))
+    if counts.size and counts.min() < 1:
+        raise SchedulingError("scheduler returned an episode-schedule "
+                              "with no periods")
+    return counts
+
+
 def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
                              params: CycleStealingParams,
                              *, residual_grain: float = 1e-6) -> float:
@@ -376,15 +474,20 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     * per level, all episode-schedules are built through one
       ``episode_schedule_batch`` call when the scheduler provides it (the
       guideline schedulers share one backward prefix across the batch);
-    * per state, the adversary's minimisation over "interrupt at the last
-      instant of period j" is one array pass — a ``cumsum`` of the period
-      works (the same sequential accumulation order as the reference's
-      ``+=`` loop, hence bit-identical partial sums) plus a gather of the
-      continuation values from the already-evaluated level below.
+    * each sweep handles a level in one array pass per block of whole
+      states holding at most :data:`_BLOCK_PERIODS` periods: the children
+      of every state of the block at once, one ``searchsorted`` for their
+      continuation values on the level below, and one
+      ``np.minimum.reduceat`` for the adversary's minimisation over
+      "interrupt at the last instant of period j" of every state.  Period
+      prefix sums are row-sequential ``cumsum`` passes (the reference's
+      ``+=`` order), so every value is bit-identical to the per-state
+      evaluation, and the children are recomputed in the upward sweep
+      rather than kept, so memory stays bounded by a block.
 
     States are deduplicated exactly like the reference memo: levels
     ``q >= 1`` on the residual rounded to ``residual_grain`` (keeping the
-    first-reached representative, which the level order preserves), level
+    first-reached representative, found with a stable argsort), level
     ``0`` on the exact residual (the reference never memoises ``p = 0``).
     On gap sweeps over the guideline schedulers this kernel is an order of
     magnitude faster than the reference (see
@@ -396,79 +499,68 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     if lifespan <= 0.0:
         return 0.0
 
+    def lookup_keys(residuals: np.ndarray, level: int) -> np.ndarray:
+        # The memo key of a state on ``level``: the exact residual on
+        # level 0, the residual rounded to the grain above it.
+        if level == 0:
+            return residuals
+        return np.rint(residuals / residual_grain).astype(np.int64)
+
     # ------------------------------------------------------------------
     # Phase 1: discover the state lattice level by level, downwards.
     # levels[q] holds the representative residuals of level q in
-    # first-reach order; children[q][i] the residuals reachable from state
-    # i of level q (one per period last-instant, untruncated).
+    # first-reach order.
     # ------------------------------------------------------------------
-    levels: List[List[float]] = [[] for _ in range(p_max + 1)]
-    children: List[List[np.ndarray]] = [[] for _ in range(p_max + 1)]
+    levels: List[np.ndarray] = [np.empty(0)] * (p_max + 1)
     schedules: List[List[EpisodeSchedule]] = [[] for _ in range(p_max + 1)]
+    counts: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * (p_max + 1)
 
-    levels[p_max] = [lifespan]
+    levels[p_max] = np.array([lifespan], dtype=float)
     for q in range(p_max, 0, -1):
-        frontier = levels[q]
-        schedules[q] = _checked_schedules_batch(scheduler, frontier, q, c)
-        seen: set = set()
-        next_level: List[float] = []
-        child_arrays: List[np.ndarray] = []
-        for residual, schedule in zip(frontier, schedules[q]):
-            child_res = residual - schedule.finish_times
-            child_arrays.append(child_res)
-            # Dedup matching the reference memo: rounded key on q-1 >= 1,
-            # the exact residual on level 0 (never memoised there).
-            if q - 1 >= 1:
-                keys = np.rint(child_res / residual_grain).astype(np.int64)
-                for res, key in zip(child_res.tolist(), keys.tolist()):
-                    if res > 0.0 and key not in seen:
-                        seen.add(key)
-                        next_level.append(res)
-            else:
-                for res in child_res.tolist():
-                    if res > 0.0 and res not in seen:
-                        seen.add(res)
-                        next_level.append(res)
-        children[q] = child_arrays
-        levels[q - 1] = next_level
+        schedules[q] = _checked_schedules_batch(scheduler, levels[q].tolist(),
+                                                q, c)
+        counts[q] = _period_counts(schedules[q])
+        found_keys: List[np.ndarray] = []
+        found: List[np.ndarray] = []
+        for lo, hi in _state_blocks(counts[q]):
+            children = _Block(schedules[q][lo:hi], levels[q][lo:hi],
+                              counts[q][lo:hi], c,
+                              with_work=False).children_in_state_order()
+            alive = children[children > 0.0]
+            keys = lookup_keys(alive, q - 1)
+            first = _first_reached(keys)
+            found_keys.append(keys[first])
+            found.append(alive[first])
+        if found:
+            # First reach within each block, then across blocks in order.
+            keys = np.concatenate(found_keys)
+            levels[q - 1] = np.concatenate(found)[_first_reached(keys)]
 
     # ------------------------------------------------------------------
     # Phase 2: evaluate upwards from level 0.
     # ------------------------------------------------------------------
-    level0 = levels[0]
-    schedules[0] = _checked_schedules_batch(scheduler, level0, 0, c)
-    values = np.asarray([schedule.work_if_uninterrupted(c)
-                         for schedule in schedules[0]])
-    # Sorted lookup keys of the level below: exact residuals for level 0,
-    # rounded integer keys for levels >= 1.
-    below_keys = np.asarray(level0)
-    order = np.argsort(below_keys, kind="stable")
-    below_keys, below_values = below_keys[order], values[order]
-
-    for q in range(1, p_max + 1):
-        level_values = np.empty(len(levels[q]))
-        for i, schedule in enumerate(schedules[q]):
-            child_res = children[q][i]
-            alive = child_res > 0.0
-            continuation = np.zeros(child_res.size)
-            if alive.any():
-                lookup = (child_res[alive] if q - 1 == 0 else
-                          np.rint(child_res[alive] / residual_grain).astype(np.int64))
-                continuation[alive] = below_values[
-                    np.searchsorted(below_keys, lookup)]
-            # Adversary options: prefix work banked before period j plus
-            # the continuation value, against "no interrupt" as baseline.
-            period_works = np.maximum(schedule.periods - c, 0.0)
-            prefix = np.empty(period_works.size)
-            prefix[0] = 0.0
-            np.cumsum(period_works[:-1], out=prefix[1:])
-            level_values[i] = min(schedule.work_if_uninterrupted(c),
-                                  float(np.min(prefix + continuation)))
-        if q == p_max:
-            return float(level_values[0])
-        keys = np.rint(np.asarray(levels[q]) / residual_grain).astype(np.int64)
+    schedules[0] = _checked_schedules_batch(scheduler, levels[0].tolist(), 0, c)
+    counts[0] = _period_counts(schedules[0])
+    for q in range(0, p_max + 1):
+        values = np.empty(levels[q].size)
+        for lo, hi in _state_blocks(counts[q]):
+            block = _Block(schedules[q][lo:hi], levels[q][lo:hi],
+                           counts[q][lo:hi], c, with_work=True)
+            block_values = block.uninterrupted
+            if q > 0:
+                # Adversary options: work banked before period j plus the
+                # continuation value, against "no interrupt" as baseline.
+                children = block.children
+                alive = children > 0.0
+                continuation = np.zeros(children.size)
+                continuation[alive] = below_values[np.searchsorted(
+                    below_keys, lookup_keys(children[alive], q - 1))]
+                block_values = np.minimum(block_values, np.minimum.reduceat(
+                    block.banked + continuation, block.starts))
+            values[lo + block.rows] = block_values
+        # Sorted lookup keys of this level for the level above.
+        keys = lookup_keys(levels[q], q)
         order = np.argsort(keys, kind="stable")
-        below_keys, below_values = keys[order], level_values[order]
-
-    # p_max == 0: the level-0 value of the full lifespan is the answer.
-    return float(values[level0.index(lifespan)])
+        below_keys, below_values = keys[order], values[order]
+    # Level p_max holds one state: the full lifespan.
+    return float(values[0])

@@ -1,5 +1,6 @@
 """Tests for the game referees and the exact minimax evaluation."""
 
+import numpy as np
 import pytest
 
 from repro import CycleStealingParams, EpisodeSchedule, guaranteed_adaptive_work
@@ -10,12 +11,14 @@ from repro.adversary import (
     NeverInterruptAdversary,
     OptimalNonAdaptiveAdversary,
 )
+from repro.core import game
 from repro.core.game import play_adaptive, play_nonadaptive
 from repro.core.exceptions import SchedulingError
 from repro.schedules import (
     EqualizingAdaptiveScheduler,
     ExactP1Scheduler,
     FixedPeriodScheduler,
+    RosenbergAdaptiveScheduler,
     RosenbergNonAdaptiveScheduler,
     SinglePeriodScheduler,
 )
@@ -132,3 +135,24 @@ class TestGuaranteedAdaptiveWork:
                           LastPeriodAdversary()):
             result = play_adaptive(scheduler, adversary, params)
             assert result.total_work >= guarantee - 1e-6
+
+    @pytest.mark.parametrize("block_periods", [7, 64])
+    @pytest.mark.parametrize("scheduler", [EqualizingAdaptiveScheduler(),
+                                           RosenbergAdaptiveScheduler()])
+    def test_block_size_never_changes_the_result(self, monkeypatch, scheduler,
+                                                 block_periods):
+        # Tiny blocks split every level into many array passes, so the
+        # first-reach dedup has to stitch blocks together; the value must
+        # be the same bits as with one block per level.
+        params = CycleStealingParams(900.0, 1.0, 3)
+        whole = guaranteed_adaptive_work(scheduler, params)
+        monkeypatch.setattr(game, "_BLOCK_PERIODS", block_periods)
+        assert guaranteed_adaptive_work(scheduler, params).hex() == whole.hex()
+
+    def test_empty_schedule_is_rejected(self):
+        class Empty:
+            def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+                return EpisodeSchedule.from_validated_array(np.empty(0))
+
+        with pytest.raises(SchedulingError, match="no periods"):
+            guaranteed_adaptive_work(Empty(), CycleStealingParams(50.0, 1.0, 1))
