@@ -19,10 +19,13 @@ Three properties the tests pin down:
    coordinates.
 2. **Serial equivalence.**  ``jobs=1`` runs everything in-process (no pool,
    easier debugging, identical rows).
-3. **Solve-once DP.**  Workers share the on-disk cache level through
-   ``cache_dir``, and each process keeps a memory-level cache, so a DP
-   table is computed once per ``(L, c, p, method)`` across the whole sweep
-   — and across *repeated* sweeps when ``cache_dir`` persists.
+3. **One DP table per setup cost.**  Before the first point the driver
+   solves the tables :func:`plan_table_keys` picks for the whole sweep —
+   one covering ``(max L, c, max p)`` table per setup cost where that is
+   smaller than the tables it replaces — and covering lookups answer
+   every point from them: in-process for ``jobs=1``, through shared
+   memory for ``jobs > 1``.  With ``cache_dir`` a later sweep that needs
+   the same tables loads them from disk instead of solving them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from .montecarlo import replicate_point
 from .profiling import aggregate_profiles, pop_profile, render_profile, stage_column
 
 __all__ = ["ExperimentConfig", "run_sweep", "parallel_map",
-           "publish_shared_tables", "shared_table_keys"]
+           "publish_shared_tables", "shared_table_keys", "plan_table_keys",
+           "presolve_tables"]
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,52 @@ def shared_table_keys(points: Sequence[SweepPoint],
     return sorted(keys)
 
 
-#: Backwards-compatible alias (pre-distributed name).
-_shared_table_keys = shared_table_keys
+def plan_table_keys(keys: Sequence[Tuple[int, int, int]]
+                    ) -> List[Tuple[int, int, int]]:
+    """The DP tables to solve so that covering lookups answer ``keys``.
+
+    Keys are grouped by setup cost.  Each group becomes one covering key
+    ``(max L, c, max p)``: a DP row over a lifespan prefix does not depend
+    on ``L_max``, so that one table answers every key of the group.  A
+    group keeps its own keys instead when the covering table would have
+    more ``(L + 1)(p + 1)`` cells than the keys it replaces (a long
+    lifespan with few interrupts next to a short one with many).  Sorted
+    for a deterministic solve and publish order.
+    """
+    groups: Dict[int, List[Tuple[int, int, int]]] = {}
+    for key in sorted(set(keys)):
+        groups.setdefault(key[1], []).append(key)
+    plan: List[Tuple[int, int, int]] = []
+    for c, group in groups.items():
+        L = max(key[0] for key in group)
+        p = max(key[2] for key in group)
+        cells = sum((kL + 1) * (kp + 1) for kL, _c, kp in group)
+        if (L + 1) * (p + 1) <= cells:
+            plan.append((L, c, p))
+        else:
+            plan.extend(group)
+    return sorted(plan)
+
+
+def presolve_tables(points: Sequence[SweepPoint],
+                    config: ExperimentConfig) -> None:
+    """Solve a serial sweep's planned DP tables before its first point.
+
+    They go into this process's per-``cache_dir`` cache (and, for
+    ``dp-optimal`` points, the process-wide cache their factory reads), so
+    every point is then a covering lookup.  A plan with more tables than
+    the cache's memory level holds is left to the points, which would
+    otherwise evict tables before using them.
+    """
+    cache = _worker_cache(config.cache_dir)
+    keys = plan_table_keys(shared_table_keys(points, config))
+    if len(keys) > cache.max_memory_entries:
+        return
+    dp_optimal = any(point.scheduler == "dp-optimal" for point in points)
+    for L, c, p in keys:
+        table = cache.solve(L, c, p, method=config.dp_method)
+        if dp_optimal:
+            shared_cache().preload(table, method=config.dp_method)
 
 
 def publish_shared_tables(points: Sequence[SweepPoint],
@@ -208,15 +256,17 @@ def publish_shared_tables(points: Sequence[SweepPoint],
                           publisher: Optional[SharedTablePublisher] = None
                           ) -> Tuple[Optional[SharedTablePublisher],
                                      ExperimentConfig]:
-    """Solve the sweep's DP tables once and publish them to shared memory.
+    """Solve the sweep's planned DP tables and publish them to shared memory.
 
     Called by the driver before fanning points out to worker processes:
-    every distinct integer ``(L, c, p)`` key the grid needs — for the
-    optimal column or a ``dp-optimal`` scheduler point — is solved in the
-    driver (through ``cache``, so disk levels still help) and copied into
-    one shared-memory block.  Returns the publisher (close it in a
-    ``finally``; ``None`` when there is nothing to share) and the config
-    carrying the attach-by-name handles for the workers.
+    the integer ``(L, c, p)`` keys the grid needs — for the optimal column
+    or a ``dp-optimal`` scheduler point — are merged by
+    :func:`plan_table_keys` (usually one covering table per setup cost),
+    solved in the driver (through ``cache``, so disk levels still help)
+    and each copied into one shared-memory block; workers answer every
+    point's key from them by covering lookups.  Returns the publisher
+    (close it in a ``finally``; ``None`` when there is nothing to share)
+    and the config carrying the attach-by-name handles for the workers.
 
     With ``publisher`` given, publication goes through that externally
     owned (e.g. service-lifetime) publisher instead: already-published
@@ -228,7 +278,7 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     sweep falls back to per-worker solving — slower and per-worker RSS
     grows again, but results are identical.
     """
-    keys = _shared_table_keys(points, config)
+    keys = plan_table_keys(shared_table_keys(points, config))
     if not keys:
         return None, config
     cache = cache if cache is not None else DPTableCache(cache_dir=config.cache_dir)
@@ -326,11 +376,12 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
 
     Notes
     -----
-    With ``jobs > 1``, every DP table the sweep needs (the optimal column,
-    ``dp-optimal`` scheduler points) is solved once in the driver and
-    *published to shared memory*; workers attach by name instead of
-    solving or loading their own copies, so worker RSS is independent of
-    ``jobs`` (see :func:`publish_shared_tables` and
+    The DP tables the sweep needs (the optimal column, ``dp-optimal``
+    scheduler points) are solved before the first point, usually one
+    covering table per setup cost (:func:`plan_table_keys`).  With
+    ``jobs > 1`` they are *published to shared memory*; workers attach by
+    name instead of solving or loading their own copies, so worker RSS is
+    independent of ``jobs`` (see :func:`publish_shared_tables` and
     ``benchmarks/results/shared_dp_memory.*``).
     """
     from .montecarlo import (
@@ -359,6 +410,8 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
     publisher: Optional[SharedTablePublisher] = None
     if _resolve_jobs(jobs) > 1 and len(points) > 1:
         publisher, config = publish_shared_tables(points, config)
+    else:
+        presolve_tables(points, config)
     started = time.perf_counter()
     try:
         rows = parallel_map(_evaluate_point,

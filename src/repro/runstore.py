@@ -1060,9 +1060,10 @@ def run_spec(spec: ExperimentSpec, *,
     Returns the :class:`Run`; its status is ``"complete"`` once every
     point has a shard.
 
-    With ``jobs > 1``, sweep-kind specs publish their DP tables to shared
-    memory exactly like :func:`repro.experiments.orchestrator.run_sweep`
-    — solved once per machine, attached by name in every worker.
+    Sweep-kind specs solve their DP tables before the first point exactly
+    like :func:`repro.experiments.orchestrator.run_sweep` — usually one
+    covering table per setup cost — and with ``jobs > 1`` publish them to
+    shared memory, attached by name in every worker.
 
     Only the *pending* points are expanded (lazily, verified against the
     manifest's per-point payload digests) — resuming a run with a handful
@@ -1205,13 +1206,15 @@ def _prepare_shared_tables(payloads: Dict[int, Any], pending: List[int],
                            jobs: int, *,
                            external_publisher: Optional[Any] = None,
                            table_cache: Optional[Any] = None):
-    """Publish sweep DP tables to shared memory for a parallel run.
+    """Solve the sweep's DP tables before the first point.
 
-    Only the *pending* points' tables are published — a resume with a
+    Only the *pending* points' tables are solved — a resume with a
     handful of missing shards must not re-solve the whole grid's tables.
-    No-op (``None`` publisher, unchanged payloads) for serial runs,
-    single-point remainders, scenario-kind payloads, or grids that need
-    no tables.
+    A parallel run publishes them to shared memory and returns the
+    publisher plus payloads carrying the handles.  A serial run (or a
+    single-point remainder) solves them into this process's cache and
+    returns ``None`` with unchanged payloads, as do scenario-kind payloads
+    and grids that need no tables.
 
     With ``external_publisher`` (the run-service's service-lifetime
     publisher), tables are published through it instead — even for
@@ -1222,16 +1225,21 @@ def _prepare_shared_tables(payloads: Dict[int, Any], pending: List[int],
     """
     if not pending or not isinstance(payloads[pending[0]], tuple):
         return None, payloads
-    if external_publisher is None and (jobs <= 1 or len(pending) <= 1):
-        return None, payloads
-    from .experiments.orchestrator import ExperimentConfig, publish_shared_tables
+    from .experiments.orchestrator import (
+        ExperimentConfig,
+        presolve_tables,
+        publish_shared_tables,
+    )
 
     config = payloads[pending[0]][1]
     if not isinstance(config, ExperimentConfig):
         return None, payloads
+    points = [payloads[i][0] for i in pending]
+    if external_publisher is None and (jobs <= 1 or len(pending) <= 1):
+        presolve_tables(points, config)
+        return None, payloads
     publisher, config = publish_shared_tables(
-        [payloads[i][0] for i in pending], config,
-        cache=table_cache, publisher=external_publisher)
+        points, config, cache=table_cache, publisher=external_publisher)
     if publisher is None and not config.shared_tables:
         return None, payloads
     return publisher, {i: (point, config)

@@ -37,6 +37,22 @@ class TestSolverAgreement:
         ref = solve_reference(L, c, p)
         assert np.array_equal(fast.values, ref.values)
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=400),
+           st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=3))
+    def test_covering_table_slices_to_the_smaller_one(self, L, extra_L, c, p,
+                                                      extra_p):
+        # What lets one covering table per setup cost answer a whole
+        # sweep: a row over a lifespan prefix does not depend on L_max.
+        big = solve(L + extra_L, c, p + extra_p)
+        small = solve(L, c, p)
+        assert np.array_equal(big.values[:p + 1, :L + 1], small.values)
+        assert np.array_equal(big.first_periods[:p + 1, :L + 1],
+                              small.first_periods)
+
     def test_solve_dispatch(self):
         assert np.array_equal(solve(50, 1, 1, method="fast").values,
                               solve(50, 1, 1, method="reference").values)

@@ -9,8 +9,10 @@ from repro.experiments.cache import (
     SharedTablePublisher,
     attach_shared_table,
 )
+from repro.experiments import orchestrator
 from repro.experiments.orchestrator import (
     ExperimentConfig,
+    plan_table_keys,
     publish_shared_tables,
 )
 from repro.experiments.profiling import (
@@ -20,6 +22,8 @@ from repro.experiments.profiling import (
     render_profile,
     stage_column,
 )
+from repro.runstore import run_spec
+from repro.specs import parse_spec
 
 
 class TestSharedTableRoundTrip:
@@ -85,8 +89,9 @@ class TestPublishForSweep:
         publisher, shared = publish_shared_tables(grid.points(), config)
         try:
             assert publisher is not None
-            # The non-integer lifespan point gets no table.
-            assert {h.key[0] for h in shared.shared_tables} == {100, 200}
+            # The non-integer lifespan point gets no table, and the
+            # (200, 1, 1) table answers (100, 1, 1) by covering lookup.
+            assert {h.key[0] for h in shared.shared_tables} == {200}
         finally:
             publisher.close()
 
@@ -117,6 +122,35 @@ class TestPublishForSweep:
         serial = run_sweep(grid, jobs=1, include_optimal=True)
         parallel = run_sweep(grid, jobs=2, include_optimal=True)
         assert serial == parallel
+
+
+class TestTablePlan:
+    def test_rectangular_grid_merges_to_one_key_per_setup_cost(self):
+        keys = [(L, c, p) for L in (100, 200, 400) for c in (1, 2)
+                for p in (1, 2, 3)]
+        assert plan_table_keys(keys) == [(400, 1, 3), (400, 2, 3)]
+
+    def test_sparse_group_stays_per_key(self):
+        # (100000, 1, 50) would hold ~5.1M cells for keys holding ~0.2M.
+        keys = [(100000, 1, 1), (100, 1, 50)]
+        assert plan_table_keys(keys) == sorted(keys)
+
+    def test_serial_run_solves_one_table_per_setup_cost(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(orchestrator, "_worker_caches", {})
+        spec = parse_spec({
+            "experiment": {"name": "plan", "kind": "sweep", "seed": 0,
+                           "replications": 0},
+            "sweep": {"lifespans": [100, 200, 300], "setup_costs": [1, 2],
+                      "interrupts": [1, 2],
+                      "schedulers": ["equalizing-adaptive"],
+                      "optimal": True},
+        })
+        serial = run_spec(spec, runs_dir=str(tmp_path / "serial"), jobs=1)
+        assert orchestrator._worker_cache(None).stats.misses == 2
+        parallel = run_spec(spec, runs_dir=str(tmp_path / "parallel"),
+                            jobs=2)
+        assert serial.rows() == parallel.rows()
 
 
 class TestProfiling:
