@@ -444,7 +444,9 @@ def _first_reached(keys: np.ndarray) -> np.ndarray:
     ordered = keys[order]
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return np.sort(order[first], kind="stable")
+    reached = np.zeros(keys.size, dtype=bool)
+    reached[order[first]] = True
+    return np.flatnonzero(reached)
 
 
 def _period_counts(schedules: Sequence[EpisodeSchedule]) -> np.ndarray:

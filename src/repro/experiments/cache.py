@@ -4,7 +4,8 @@ Every parameter sweep, optimality-gap measurement and benchmark needs the
 same handful of :class:`~repro.dp.value.ValueTable` objects, and solving one
 is by far the most expensive primitive in the library (``O(p·L)`` after the
 fast-solver rewrite, but with ``L`` in the tens of thousands).  The cache
-here makes a table a solve-once artefact:
+here keeps solved tables at hand, so a key already held by one of its
+levels is never solved again:
 
 * **Level 1 — in-process LRU.**  An ``OrderedDict`` of the most recently
   used tables, keyed by the exact ``(max_lifespan, setup_cost,
@@ -31,9 +32,12 @@ here makes a table a solve-once artefact:
   worker's :class:`DPTableCache` memory level, which keeps every lookup
   path (including covering lookups) unchanged.
 
-The orchestrator in :mod:`repro.experiments.orchestrator` gives every worker
-process its own :class:`DPTableCache` pointed at the same directory, so a
-table is computed once per parameter point across *all* sweeps and runs.
+The orchestrator in :mod:`repro.experiments.orchestrator` solves a sweep's
+tables before its first point — usually one covering table per setup
+cost, see :func:`~repro.experiments.orchestrator.plan_table_keys` — and
+every point is then a covering lookup.  Each worker process keeps its own
+memory level; only with a ``cache_dir`` do tables outlive the process,
+so a later sweep needing the same key loads it from disk.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def _fixed_period(params: CycleStealingParams):
 
 
 def _dp_optimal(params: CycleStealingParams):
-    """The exactly-optimal DP scheduler, via the shared solve-once cache.
+    """The exactly-optimal DP scheduler, via the process-wide DP cache.
 
     Requires integer-valued lifespan and set-up cost (the DP grid);
     :func:`repro.analysis.gap.dp_table_for` raises a clear error otherwise.

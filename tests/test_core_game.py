@@ -1,5 +1,7 @@
 """Tests for the game referees and the exact minimax evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,16 @@ class TestGuaranteedAdaptiveWork:
 
         with pytest.raises(SchedulingError, match="no periods"):
             guaranteed_adaptive_work(Empty(), CycleStealingParams(50.0, 1.0, 1))
+
+    def test_memory_stays_bounded(self):
+        # Children are recomputed per block rather than kept per state, and
+        # no row is padded: the largest benchmark point stays under 17 MiB
+        # of traced allocations (a padded layout needs ~50 MiB).
+        params = CycleStealingParams(16000.0, 1.0, 4)
+        tracemalloc.start()
+        try:
+            guaranteed_adaptive_work(RosenbergAdaptiveScheduler(), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 2**20, f"{peak / 2**20:.1f} MiB"
