@@ -15,11 +15,14 @@ re-derivable:
   committed deterministic columns and enforces the committed RSS-ratio
   evidence without re-running the expensive counts.
 
-Peak memory is measured as ``ru_maxrss`` of a **fresh subprocess per
-measurement** (:func:`measure_subprocess`): ``ru_maxrss`` is a process
-lifetime high-water mark, so measuring two counts in one process would let
-the first run's peak mask the second's.  No third-party memory profiler is
-involved — ``resource`` is stdlib.
+Peak memory is the ``VmHWM`` line of ``/proc/self/status`` read by a
+**fresh subprocess per measurement** (:func:`measure_subprocess`): the
+high-water mark lasts the process's lifetime, so measuring two counts in
+one process would let the first run's peak mask the second's.  It is not
+``ru_maxrss``: Linux carries the parent's ``ru_maxrss`` into a child, so
+a child of a large parent (a pytest session, say) reads the parent's peak
+and every count reads the same.  ``VmHWM`` is the child's own.  No
+third-party memory profiler is involved.
 """
 
 from __future__ import annotations
@@ -75,22 +78,29 @@ def replicate_stats(count: int, aggregation: str,
                            chunk_size=chunk_size)
 
 
+def peak_rss_mib() -> float:
+    """This process's own peak resident set size (``VmHWM``), in MiB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0  # the line is in kB
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
 def measure_inprocess(count: int, aggregation: str,
                       chunk_size: Optional[int] = CHUNK_SIZE) -> Dict[str, float]:
     """One measurement in THIS process: seconds, peak RSS and work stats."""
-    import resource
     import time
 
     start = time.perf_counter()
     row = replicate_stats(count, aggregation, chunk_size)
     seconds = time.perf_counter() - start
-    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "aggregation": aggregation,
         "replications": int(count),
         "chunk_size": int(chunk_size) if chunk_size is not None else 0,
         "seconds": float(seconds),
-        "rss_mib": rss_kib / 1024.0,
+        "rss_mib": peak_rss_mib(),
         "work_mean": float(row["work_mean"]),
         "work_std": float(row["work_std"]),
         "work_q50": float(row["work_q50"]),
@@ -101,7 +111,7 @@ def measure_inprocess(count: int, aggregation: str,
 def measure_subprocess(count: int, aggregation: str,
                        chunk_size: Optional[int] = CHUNK_SIZE,
                        timeout: float = 900.0) -> Dict[str, float]:
-    """One measurement in a fresh subprocess (clean ``ru_maxrss``)."""
+    """One measurement in a fresh subprocess (its own ``VmHWM``)."""
     argv = [sys.executable, _HERE, "--count", str(int(count)),
             "--aggregation", aggregation]
     if chunk_size is not None:

@@ -5,7 +5,8 @@ Measures the canonical high-replication sweep point (see
 exact one-shot aggregation and the chunked streaming accumulators — and
 records wall-clock, throughput and **peak RSS per replication count**
 under ``benchmarks/results/mc_streaming.*``.  Every measurement runs in a
-fresh subprocess so ``ru_maxrss`` is a clean per-run peak.
+fresh subprocess that reads its own peak RSS (``VmHWM``; the pytest
+process's ``ru_maxrss`` would be inherited by the child and read instead).
 
 The committed table is the ISSUE's memory evidence: the 10^6-replication
 streaming run completes with peak RSS within ``RSS_RATIO_FLOOR`` (1.5x)
@@ -57,7 +58,7 @@ def test_bench_mc_streaming(benchmark):
                        "seconds", "reps_per_s", "rss_mib", "work_mean",
                        "work_std", "work_q50", "quantile_method"],
               title="Streaming vs exact Monte-Carlo aggregation "
-                    "(peak RSS per fresh subprocess)")
+                    "(peak RSS = VmHWM of a fresh subprocess)")
 
     # Parity: streaming mean/std agree with exact at every shared count.
     for count in BOTH_COUNTS:

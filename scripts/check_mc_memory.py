@@ -3,9 +3,11 @@
 
 Replicates the canonical high-replication sweep point (see
 ``benchmarks/mc_streaming_util.py``) with ``aggregation="streaming"`` at a
-ladder of replication counts — each in a **fresh subprocess**, so
-``ru_maxrss`` is a clean per-measurement peak — and fails if any count's
-peak RSS exceeds ``--max-ratio`` times the smallest count's.  The chunk
+ladder of replication counts — each in a **fresh subprocess** that reads
+its own peak RSS (``VmHWM`` from ``/proc/self/status``; ``ru_maxrss``
+would report this script's peak, inherited across the fork) — and fails
+if any count's peak RSS exceeds ``--max-ratio`` times the smallest
+count's.  The chunk
 size is pinned (not auto-sized) so the envelope measures exactly the
 streaming pipeline's claim: peak memory flat in ``--replications``.
 
