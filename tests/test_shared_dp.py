@@ -135,6 +135,17 @@ class TestTablePlan:
         keys = [(100000, 1, 1), (100, 1, 50)]
         assert plan_table_keys(keys) == sorted(keys)
 
+    def test_plan_beyond_the_memory_level_is_left_to_the_points(
+            self, monkeypatch):
+        # 17 setup costs need 17 tables, one more than the memory level
+        # holds: solving them all up front would evict each table before
+        # its point ran and solve it twice.
+        monkeypatch.setattr(orchestrator, "_worker_caches", {})
+        grid = SweepGrid(lifespans=(20.0,), setup_costs=tuple(range(1, 18)),
+                         interrupt_budgets=(1,), schedulers=("single-period",))
+        run_sweep(grid, jobs=1, include_optimal=True)
+        assert orchestrator._worker_cache(None).stats.misses == 17
+
     def test_serial_run_solves_one_table_per_setup_cost(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.setattr(orchestrator, "_worker_caches", {})
