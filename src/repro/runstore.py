@@ -1202,7 +1202,7 @@ def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
     return out
 
 
-def _prepare_shared_tables(payloads: Dict[int, Any], pending: List[int],
+def _prepare_tables(payloads: Dict[int, Any], pending: List[int],
                            jobs: int, *,
                            external_publisher: Optional[Any] = None,
                            table_cache: Optional[Any] = None):
@@ -1271,7 +1271,7 @@ def _execute_points(run: Run, payloads: Dict[int, Any], pending: List[int],
         else:
             run.write_point(index, row)
 
-    owned_publisher, payloads = _prepare_shared_tables(
+    owned_publisher, payloads = _prepare_tables(
         payloads, pending, jobs,
         external_publisher=publisher, table_cache=table_cache)
     try:
