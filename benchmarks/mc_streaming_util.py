@@ -20,7 +20,7 @@ Peak memory is the ``VmHWM`` line of ``/proc/self/status`` read by a
 high-water mark lasts the process's lifetime, so measuring two counts in
 one process would let the first run's peak mask the second's.  It is not
 ``ru_maxrss``: Linux carries the parent's ``ru_maxrss`` into a child, so
-a child of a large parent (a pytest session, say) reads the parent's peak
+a child of a large parent (a pytest run, say) reads the parent's peak
 and every count reads the same.  ``VmHWM`` is the child's own.  No
 third-party memory profiler is involved.
 """

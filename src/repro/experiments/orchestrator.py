@@ -19,7 +19,7 @@ Three properties the tests pin down:
    coordinates.
 2. **Serial equivalence.**  ``jobs=1`` runs everything in-process (no pool,
    easier debugging, identical rows).
-3. **One DP table per setup cost.**  Before the first point the driver
+3. **One DP table per setup cost.**  Before the first point the sweep
    solves the tables :func:`plan_table_keys` picks for the whole sweep —
    one covering ``(max L, c, max p)`` table per setup cost where that is
    smaller than the tables it replaces — and covering lookups answer
@@ -262,7 +262,7 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     the integer ``(L, c, p)`` keys the grid needs — for the optimal column
     or a ``dp-optimal`` scheduler point — are merged by
     :func:`plan_table_keys` (usually one covering table per setup cost),
-    solved in the driver (through ``cache``, so disk levels still help)
+    solved in this process (through ``cache``, so disk levels still help)
     and each copied into one shared-memory block; workers answer every
     point's key from them by covering lookups.  Returns the publisher
     (close it in a ``finally``; ``None`` when there is nothing to share)
