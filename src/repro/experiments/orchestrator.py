@@ -408,11 +408,12 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
                               profile=bool(profile))
     points = grid.points()
     publisher: Optional[SharedTablePublisher] = None
+    started = time.perf_counter()
     if _resolve_jobs(jobs) > 1 and len(points) > 1:
         publisher, config = publish_shared_tables(points, config)
     else:
         presolve_tables(points, config)
-    started = time.perf_counter()
+    tables_seconds = time.perf_counter() - started
     try:
         rows = parallel_map(_evaluate_point,
                             [(point, config) for point in points], jobs=jobs)
@@ -420,7 +421,10 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
         if publisher is not None:
             publisher.close()
     if profile:
-        totals = aggregate_profiles([pop_profile(row) for row in rows])
+        # The planned DP tables are solved before the first point, outside
+        # every point's own dp_solve timer.
+        totals = aggregate_profiles([{"dp_solve": tables_seconds}]
+                                    + [pop_profile(row) for row in rows])
         print(render_profile(totals,
                              wall_seconds=time.perf_counter() - started,
                              points=len(rows), jobs=_resolve_jobs(jobs)),

@@ -1203,9 +1203,9 @@ def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
 
 
 def _prepare_tables(payloads: Dict[int, Any], pending: List[int],
-                           jobs: int, *,
-                           external_publisher: Optional[Any] = None,
-                           table_cache: Optional[Any] = None):
+                    jobs: int, *,
+                    external_publisher: Optional[Any] = None,
+                    table_cache: Optional[Any] = None):
     """Solve the sweep's DP tables before the first point.
 
     Only the *pending* points' tables are solved — a resume with a
@@ -1271,9 +1271,11 @@ def _execute_points(run: Run, payloads: Dict[int, Any], pending: List[int],
         else:
             run.write_point(index, row)
 
+    tables_started = time.perf_counter()
     owned_publisher, payloads = _prepare_tables(
         payloads, pending, jobs,
         external_publisher=publisher, table_cache=table_cache)
+    tables_seconds = time.perf_counter() - tables_started
     try:
         if jobs <= 1 or len(pending) <= 1:
             for index in pending:
@@ -1298,4 +1300,7 @@ def _execute_points(run: Run, payloads: Dict[int, Any], pending: List[int],
         return {}
     totals = aggregate_profiles(profiles)
     totals["shard_io"] = totals.get("shard_io", 0.0) + shard_io
+    # The sweep's DP tables are solved before the first point, outside
+    # every point's own dp_solve timer.
+    totals["dp_solve"] = totals.get("dp_solve", 0.0) + tables_seconds
     return totals

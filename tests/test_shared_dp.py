@@ -1,5 +1,8 @@
 """Shared-memory DP tables and the --profile stage breakdown."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,49 @@ class TestProfiling:
         assert "profile:" in err and "shard_io" in err
         for row in run.rows():
             assert not any(k.startswith(PROFILE_PREFIX) for k in row)
+
+    @staticmethod
+    def _slow_presolve(monkeypatch, seconds):
+        solve = orchestrator.presolve_tables
+
+        def slow(points, config):
+            time.sleep(seconds)
+            solve(points, config)
+
+        monkeypatch.setattr(orchestrator, "presolve_tables", slow)
+
+    @staticmethod
+    def _seconds(pattern, text):
+        match = re.search(pattern, text)
+        assert match, text
+        return float(match.group(1))
+
+    def test_sweep_profile_counts_presolved_tables(self, capsys, monkeypatch):
+        # The planned tables are solved before the first point; their time
+        # belongs to dp_solve and to the wall time.
+        self._slow_presolve(monkeypatch, 0.2)
+        grid = SweepGrid(lifespans=(100.0, 200.0), setup_costs=(1.0,),
+                         interrupt_budgets=(1,),
+                         schedulers=("equalizing-adaptive",))
+        run_sweep(grid, jobs=1, include_optimal=True, profile=True)
+        err = capsys.readouterr().err
+        assert self._seconds(r"dp_solve\s+([\d.]+)s", err) >= 0.2
+        assert self._seconds(r"in ([\d.]+)s wall", err) >= 0.2
+
+    def test_run_store_profile_counts_presolved_tables(self, tmp_path, capsys,
+                                                       monkeypatch):
+        self._slow_presolve(monkeypatch, 0.2)
+        spec = parse_spec({
+            "experiment": {"name": "presolved", "kind": "sweep",
+                           "replications": 0},
+            "sweep": {"lifespans": [100.0, 200.0], "setup_costs": [1.0],
+                      "interrupts": [1],
+                      "schedulers": ["equalizing-adaptive"],
+                      "optimal": True},
+        }, source="inline")
+        run_spec(spec, runs_dir=tmp_path, run_id="presolved", profile=True)
+        err = capsys.readouterr().err
+        assert self._seconds(r"dp_solve\s+([\d.]+)s", err) >= 0.2
 
     def test_cli_sweep_profile_flag(self, capsys):
         from repro.cli import main
