@@ -17,7 +17,9 @@ levels is never solved again:
   cache directory, one file per key, written atomically (temp file +
   ``os.replace``) so concurrent sweep workers sharing the directory never
   observe a torn file.  Corrupt or unreadable files are treated as misses
-  and transparently rewritten.
+  and transparently rewritten.  Without a file for the exact key, a
+  stored covering table (same ``setup_cost`` and ``method``, range at
+  least as large) answers, as in the memory level.
 
 * **Level 0 — shared-memory publication.**  Both lower levels still hand
   every worker *process* its own private copy of the solved arrays; for
@@ -37,12 +39,13 @@ tables before its first point — usually one covering table per setup
 cost, see :func:`~repro.experiments.orchestrator.plan_table_keys` — and
 every point is then a covering lookup.  Each worker process keeps its own
 memory level; only with a ``cache_dir`` do tables outlive the process,
-so a later sweep needing the same key loads it from disk.
+so a later sweep whose keys a stored table covers loads it from disk.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 import threading
 import zipfile
@@ -63,6 +66,9 @@ __all__ = ["CacheStats", "DPTableCache", "cached_solve", "shared_cache",
 
 #: Cache key: ``(max_lifespan, setup_cost, max_interrupts, method)``.
 CacheKey = Tuple[int, int, int, str]
+
+#: File name of one key in the on-disk level (see ``DPTableCache._path``).
+_DISK_NAME = re.compile(r"dp_L(\d+)_c(\d+)_p(\d+)_(\w+)\.npz")
 
 
 @dataclass
@@ -98,10 +104,10 @@ class DPTableCache:
     max_memory_entries:
         Capacity of the in-process LRU level.
     allow_covering:
-        When ``True`` (the default) an in-memory table whose range covers
-        the request (same ``setup_cost`` and ``method``, lifespan and
-        interrupt range at least as large) is returned instead of solving a
-        smaller table from scratch.
+        When ``True`` (the default) a cached table — in memory or on disk —
+        whose range covers the request (same ``setup_cost`` and ``method``,
+        lifespan and interrupt range at least as large) is returned instead
+        of solving a smaller table from scratch.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -139,7 +145,11 @@ class DPTableCache:
             table = self._disk_lookup(key)
             if table is not None:
                 self.stats.disk_hits += 1
-                self._memory_store(key, table)
+                # Under the table's own key: it may be a covering one.
+                self._memory_store(self._key(table.max_lifespan,
+                                             table.setup_cost,
+                                             table.max_interrupts, key[3]),
+                                   table)
                 return table
 
             self.stats.misses += 1
@@ -220,8 +230,37 @@ class DPTableCache:
         return os.path.join(self.cache_dir, f"dp_L{L}_c{c}_p{p}_{method}.npz")
 
     def _disk_lookup(self, key: CacheKey) -> Optional[ValueTable]:
+        if not self.cache_dir:
+            return None
+        table = self._disk_load(key)
+        if table is None and self.allow_covering:
+            for covering in self._covering_disk_keys(key):
+                table = self._disk_load(covering)
+                if table is not None:
+                    break
+        return table
+
+    def _covering_disk_keys(self, key: CacheKey) -> List[CacheKey]:
+        """Stored keys whose tables cover ``key``, fewest cells first."""
+        L, c, p, method = key
+        try:
+            names = os.listdir(self.cache_dir)
+        except OSError:
+            return []
+        found = []
+        for name in names:
+            match = _DISK_NAME.fullmatch(name)
+            if match is None:
+                continue
+            kL, kc, kp = int(match[1]), int(match[2]), int(match[3])
+            if (kc == c and match[4] == method and kL >= L and kp >= p
+                    and (kL, kp) != (L, p)):
+                found.append(((kL + 1) * (kp + 1), (kL, kc, kp, method)))
+        return [covering for _cells, covering in sorted(found)]
+
+    def _disk_load(self, key: CacheKey) -> Optional[ValueTable]:
         path = self._path(key)
-        if path is None or not os.path.exists(path):
+        if not os.path.exists(path):
             return None
         try:
             with np.load(path) as archive:

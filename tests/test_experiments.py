@@ -273,6 +273,35 @@ class TestDPTableCache:
         assert np.array_equal(loaded.first_periods, table.first_periods)
         assert loaded.setup_cost == table.setup_cost
 
+    def test_disk_covering_lookup(self, tmp_path):
+        cache_dir = str(tmp_path / "dp")
+        DPTableCache(cache_dir=cache_dir).solve(120, 1, 3)
+        DPTableCache(cache_dir=cache_dir, allow_covering=False).solve(90, 1, 2)
+        # The smallest stored table that covers the request answers it.
+        cache = DPTableCache(cache_dir=cache_dir)
+        table = cache.solve(80, 1, 2)
+        assert cache.stats.disk_hits == 1 and cache.stats.misses == 0
+        assert (table.max_lifespan, table.max_interrupts) == (90, 2)
+        expected = solve(80, 1, 2)
+        assert np.array_equal(table.values[:3, :81], expected.values)
+        assert np.array_equal(table.first_periods[:3, :81],
+                              expected.first_periods)
+        # Kept under its own key: a second request is a memory hit.
+        cache.solve(85, 1, 1)
+        assert cache.stats.memory_hits == 1
+        # Another setup cost or a larger range is not covered.
+        cache.solve(80, 2, 2)
+        cache.solve(130, 1, 2)
+        assert cache.stats.misses == 2
+
+    def test_disk_covering_can_be_disabled(self, tmp_path):
+        cache_dir = str(tmp_path / "dp")
+        DPTableCache(cache_dir=cache_dir).solve(120, 1, 3)
+        cache = DPTableCache(cache_dir=cache_dir, allow_covering=False)
+        table = cache.solve(80, 1, 2)
+        assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
+        assert table.values.shape == (3, 81)
+
     def test_corrupt_disk_file_is_recomputed(self, tmp_path):
         cache_dir = str(tmp_path / "dp")
         DPTableCache(cache_dir=cache_dir).solve(40, 1, 1)
