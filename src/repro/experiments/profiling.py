@@ -34,7 +34,8 @@ PROFILE_PREFIX = "_profile_"
 #: Known stages, in reporting order.  ``spec_parse`` is spec expansion and
 #: pending-point discovery in the run store, ``referee`` the exact
 #: worst-case minimax/pattern measurement, ``dp_solve`` the (cached)
-#: ``W^(p)[L]`` table resolution, ``monte_carlo`` the replication layer,
+#: ``W^(p)[L]`` table resolution, including the tables a sweep solves
+#: before its first point, ``monte_carlo`` the replication layer,
 #: ``shard_io`` run-store reads/writes (shards and the columnar sidecar),
 #: ``report_render`` the markdown report generation of ``repro report``.
 STAGES = ("spec_parse", "referee", "dp_solve", "monte_carlo", "shard_io",
