@@ -67,7 +67,7 @@ from .core import (
     positive_subtraction,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.3.0"
 
 #: The lazily re-exported half of the facade: name -> defining submodule.
 #: Resolved on first attribute access (PEP 562) so ``import repro`` does

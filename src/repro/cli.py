@@ -64,14 +64,6 @@ CACHE_DIR_HELP = ("on-disk DP-table cache directory shared by all workers "
                   "(default: disabled — DP tables are cached in memory, "
                   "per process, for the current run only)")
 
-#: Pre-registry short scheduler names still accepted by ``simulate``.
-LEGACY_SCHEDULER_ALIASES = {
-    "equalizing": "equalizing-adaptive",
-    "rosenberg": "rosenberg-adaptive",
-    "fixed": "fixed-period",
-    "single": "single-period",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
@@ -117,11 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a canned NOW scenario")
     sim.add_argument("--scenario", choices=SCENARIO_FAMILIES.names(),
                      default="laptop")
-    sim.add_argument("--scheduler",
-                     choices=SCHEDULERS.names() + sorted(LEGACY_SCHEDULER_ALIASES),
+    sim.add_argument("--scheduler", choices=SCHEDULERS.names(),
                      default="equalizing-adaptive",
-                     help="registry scheduler name (legacy short aliases "
-                          "equalizing/rosenberg/fixed/single still accepted)")
+                     help="registry scheduler name")
     sim.add_argument("--seed", type=int, default=None,
                      help="scenario seed (default: the family's canonical seed)")
     sim.add_argument("--backend", choices=["event", "batch"], default="event",
@@ -502,22 +492,13 @@ def _cmd_simulate(args) -> List[dict]:
 
     family = SCENARIO_FAMILIES[args.scenario]
     scenario = family() if args.seed is None else family(seed=args.seed)
-    if args.scheduler == "fixed":
-        # The legacy alias predates the registry and always used U/20
-        # chunks (the registry's `fixed-period` factory uses max(10, U/50));
-        # keep its historical behaviour so old invocations reproduce.
-        from .schedules import FixedPeriodScheduler
-        scheduler = FixedPeriodScheduler(
-            period_length=scenario.params.lifespan / 20)
-    else:
-        name = LEGACY_SCHEDULER_ALIASES.get(args.scheduler, args.scheduler)
-        scheduler = make_scheduler(name, scenario.params)
-        if not hasattr(scheduler, "episode_schedule"):
-            raise SystemExit(
-                f"error: scheduler {name!r} implements only the non-adaptive "
-                "protocol and cannot drive the NOW simulator (it cannot "
-                "re-plan after an owner reclaim); choose an adaptive "
-                "scheduler such as 'equalizing-adaptive'")
+    scheduler = make_scheduler(args.scheduler, scenario.params)
+    if not hasattr(scheduler, "episode_schedule"):
+        raise SystemExit(
+            f"error: scheduler {args.scheduler!r} implements only the "
+            "non-adaptive protocol and cannot drive the NOW simulator (it "
+            "cannot re-plan after an owner reclaim); choose an adaptive "
+            "scheduler such as 'equalizing-adaptive'")
     if args.backend == "batch":
         from .simulator.batch import simulate_scenarios_batch
 
@@ -578,11 +559,11 @@ def _cmd_run(args) -> List[dict]:
                              "supported with --executor cluster (run the "
                              "coordinator directly for finer control)")
         from .distributed import run_spec_distributed
-        from .experiments.orchestrator import _resolve_jobs
+        from .experiments.orchestrator import resolve_jobs
 
         run = run_spec_distributed(spec, runs_dir=args.runs_dir,
                                    run_id=args.run_id,
-                                   workers=_resolve_jobs(args.jobs),
+                                   workers=resolve_jobs(args.jobs),
                                    cache_dir=args.cache_dir,
                                    lease_ttl=args.lease_ttl,
                                    resume=args.resume)

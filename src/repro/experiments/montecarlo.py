@@ -67,7 +67,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._compat import keyword_only
 from ..core.exceptions import InvalidScheduleError, SchedulingError
 from ..core.game import play_adaptive, play_nonadaptive
 from ..core.schedule import EpisodeSchedule
@@ -232,7 +231,6 @@ def _chunk_context(exc: ValueError, index: int, start: int,
                       f"replications [{start}, {stop})]")
 
 
-@keyword_only("base_seed", lead=2)
 def replicate_point(point: SweepPoint, replications: int,
                     *, base_seed: int = 0, backend: str = "event",
                     aggregation: str = "auto",

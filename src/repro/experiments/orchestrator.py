@@ -1,7 +1,9 @@
 """Parallel experiment orchestrator.
 
-Fans a :class:`~repro.experiments.grid.SweepGrid` out over a
-``concurrent.futures`` worker pool and assembles one result row per point:
+:func:`execute_points` is the one point executor: :func:`run_sweep` and
+:func:`repro.runstore.run_spec` both run their points through it, in
+process or over a ``concurrent.futures`` worker pool.  A sweep point's
+result row holds:
 
 * **guaranteed work** — the exact worst case of the point's scheduler,
   via the minimax referee (always computed);
@@ -33,9 +35,9 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.gap import measure_guaranteed_work
 from .cache import (
@@ -49,7 +51,7 @@ from .grid import SweepGrid, SweepPoint, make_scheduler
 from .montecarlo import replicate_point
 from .profiling import aggregate_profiles, pop_profile, render_profile, stage_column
 
-__all__ = ["ExperimentConfig", "run_sweep", "parallel_map",
+__all__ = ["ExperimentConfig", "run_sweep", "execute_points", "parallel_map",
            "publish_shared_tables", "shared_table_keys", "plan_table_keys",
            "presolve_tables"]
 
@@ -177,8 +179,9 @@ def _evaluate_point(payload: Tuple[SweepPoint, ExperimentConfig]) -> Dict[str, A
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs <= 0:  # 0 / None: one worker per CPU
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Worker count for ``jobs`` (``0`` or ``None``: one per CPU)."""
+    if jobs is None or jobs <= 0:
         return max(1, os.cpu_count() or 1)
     return int(jobs)
 
@@ -298,6 +301,69 @@ def publish_shared_tables(points: Sequence[SweepPoint],
                                              shared_tables=tuple(handles))
 
 
+def execute_points(payloads: Union[Sequence[Any], Dict[int, Any]],
+                   pending: Sequence[int], *,
+                   jobs: int, evaluate: Callable[[Any], Dict[str, Any]],
+                   on_row: Callable[[int, Dict[str, Any]], None],
+                   publisher: Optional[SharedTablePublisher] = None,
+                   table_cache: Optional[DPTableCache] = None
+                   ) -> Dict[str, float]:
+    """Evaluate the ``pending`` indices of ``payloads``, one row at a time.
+
+    The one point executor behind :func:`run_sweep` and
+    :func:`repro.runstore.run_spec`.  Sweep payloads
+    (``(SweepPoint, ExperimentConfig)`` pairs) first get the DP tables of
+    the *pending* points, planned by :func:`plan_table_keys`: points run
+    in-process solve them into this process's cache
+    (:func:`presolve_tables`); points run over the process pool, or any
+    run given an external ``publisher``, publish them to shared memory
+    (:func:`publish_shared_tables`, solving through ``table_cache``).  The
+    run service passes its service-lifetime publisher so that concurrent
+    in-process runs share one machine-wide copy; it is never closed here.
+
+    Points run in-process when ``jobs`` resolves to 1 or one point is
+    pending, otherwise over a process pool, so ``evaluate`` must then be a
+    module-level callable.  Each row loses its profile columns and goes to
+    ``on_row(index, row)`` as soon as its point finishes, in completion
+    order.  Returns the per-stage totals of those profiles, with the table
+    preparation counted under ``dp_solve`` (empty when nothing is pending).
+    """
+    if not pending:
+        return {}
+    workers = min(resolve_jobs(jobs), len(pending))
+    started = time.perf_counter()
+    owned: Optional[SharedTablePublisher] = None
+    first = payloads[pending[0]]
+    if isinstance(first, tuple) and isinstance(first[1], ExperimentConfig):
+        points = [payloads[i][0] for i in pending]
+        if publisher is None and workers <= 1:
+            presolve_tables(points, first[1])
+        else:
+            owned, config = publish_shared_tables(
+                points, first[1], cache=table_cache, publisher=publisher)
+            payloads = {i: (payloads[i][0], config) for i in pending}
+    profiles = [{"dp_solve": time.perf_counter() - started}]
+
+    def finish(index: int, row: Dict[str, Any]) -> None:
+        profiles.append(pop_profile(row))
+        on_row(index, row)
+
+    try:
+        if workers <= 1:
+            for index in pending:
+                finish(index, evaluate(payloads[index]))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {pool.submit(evaluate, payloads[i]): i
+                           for i in pending}
+                for future in as_completed(futures):
+                    finish(futures[future], future.result())
+    finally:
+        if owned is not None:
+            owned.close()
+    return aggregate_profiles(profiles)
+
+
 def parallel_map(func: Callable[[Any], Any], payloads: Sequence[Any],
                  *, jobs: int = 1, chunksize: Optional[int] = None) -> List[Any]:
     """Order-preserving map over a process pool (serial when ``jobs <= 1``).
@@ -307,7 +373,7 @@ def parallel_map(func: Callable[[Any], Any], payloads: Sequence[Any],
     which worker finished first.
     """
     payloads = list(payloads)
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(payloads) <= 1:
         return [func(p) for p in payloads]
     if chunksize is None:
@@ -376,6 +442,7 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
 
     Notes
     -----
+    The points run through :func:`execute_points`, like a stored run's.
     The DP tables the sweep needs (the optimal column, ``dp-optimal``
     scheduler points) are solved before the first point, usually one
     covering table per setup cost (:func:`plan_table_keys`).  With
@@ -407,26 +474,14 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
                               variance=str(variance),
                               profile=bool(profile))
     points = grid.points()
-    publisher: Optional[SharedTablePublisher] = None
+    rows: List[Any] = [None] * len(points)
     started = time.perf_counter()
-    if _resolve_jobs(jobs) > 1 and len(points) > 1:
-        publisher, config = publish_shared_tables(points, config)
-    else:
-        presolve_tables(points, config)
-    tables_seconds = time.perf_counter() - started
-    try:
-        rows = parallel_map(_evaluate_point,
-                            [(point, config) for point in points], jobs=jobs)
-    finally:
-        if publisher is not None:
-            publisher.close()
+    totals = execute_points([(point, config) for point in points],
+                            range(len(points)), jobs=jobs,
+                            evaluate=_evaluate_point, on_row=rows.__setitem__)
     if profile:
-        # The planned DP tables are solved before the first point, outside
-        # every point's own dp_solve timer.
-        totals = aggregate_profiles([{"dp_solve": tables_seconds}]
-                                    + [pop_profile(row) for row in rows])
         print(render_profile(totals,
                              wall_seconds=time.perf_counter() - started,
-                             points=len(rows), jobs=_resolve_jobs(jobs)),
+                             points=len(rows), jobs=resolve_jobs(jobs)),
               file=sys.stderr)
     return rows

@@ -55,15 +55,13 @@ import sys
 import tempfile
 import time
 import zipfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ._compat import keyword_only
 from .core.exceptions import CycleStealingError
-from .experiments.profiling import aggregate_profiles, pop_profile, render_profile
+from .experiments.profiling import render_profile
 from .specs import (
     ExperimentSpec,
     default_run_id,
@@ -1005,8 +1003,6 @@ class RunStore:
 # ----------------------------------------------------------------------
 # Execution: run / resume a spec against a store
 # ----------------------------------------------------------------------
-@keyword_only("runs_dir", "run_id", "jobs", "cache_dir", "max_points",
-              "resume", "profile", lead=1)
 def run_spec(spec: ExperimentSpec, *,
              runs_dir: Union[str, os.PathLike] = DEFAULT_RUNS_DIR,
              run_id: Optional[str] = None, jobs: int = 1,
@@ -1060,10 +1056,12 @@ def run_spec(spec: ExperimentSpec, *,
     Returns the :class:`Run`; its status is ``"complete"`` once every
     point has a shard.
 
-    Sweep-kind specs solve their DP tables before the first point exactly
-    like :func:`repro.experiments.orchestrator.run_sweep` — usually one
-    covering table per setup cost — and with ``jobs > 1`` publish them to
-    shared memory, attached by name in every worker.
+    The points run through
+    :func:`repro.experiments.orchestrator.execute_points`, the executor
+    behind ``run_sweep`` too: sweep-kind specs solve their DP tables
+    before the first point — usually one covering table per setup cost —
+    and with ``jobs > 1`` publish them to shared memory, attached by name
+    in every worker.
 
     Only the *pending* points are expanded (lazily, verified against the
     manifest's per-point payload digests) — resuming a run with a handful
@@ -1111,12 +1109,25 @@ def run_spec(spec: ExperimentSpec, *,
                                    cache_dir=cache_dir, profile=profile)
     spec_parse_seconds += time.perf_counter() - parse_started
 
-    jobs = _resolve_jobs(jobs)
-    totals = _execute_points(run, payloads, pending, jobs=jobs,
-                             profile=profile, publisher=publisher,
-                             table_cache=table_cache)
+    # The orchestrator pulls in the analysis stack, which `import
+    # repro.runstore` alone should not pay for.
+    from .experiments.orchestrator import execute_points, resolve_jobs
 
-    # _execute_points returning means every pending shard was written and
+    shard_seconds = 0.0
+
+    def write(index: int, row: Dict[str, Any]) -> None:
+        nonlocal shard_seconds
+        write_started = time.perf_counter()
+        run.write_point(index, row)
+        shard_seconds += time.perf_counter() - write_started
+
+    # evaluate_payload is looked up at call time: rebinding this module's
+    # name (as a tracer does) reroutes every point, in-process or pooled.
+    totals = execute_points(payloads, pending, jobs=jobs,
+                            evaluate=evaluate_payload, on_row=write,
+                            publisher=publisher, table_cache=table_cache)
+
+    # execute_points returning means every pending shard was written and
     # atomically published, so no re-scan of the store is needed here.
     consolidate_started = time.perf_counter()
     if pending:
@@ -1132,17 +1143,16 @@ def run_spec(spec: ExperimentSpec, *,
         run.mark_complete()  # re-validates the sidecar, then flips status
     if profile:
         totals["spec_parse"] = totals.get("spec_parse", 0.0) + spec_parse_seconds
-        totals["shard_io"] = (totals.get("shard_io", 0.0) + scan_seconds
+        totals["shard_io"] = (totals.get("shard_io", 0.0) + shard_seconds
+                              + scan_seconds
                               + time.perf_counter() - consolidate_started)
         print(render_profile(totals,
                              wall_seconds=time.perf_counter() - wall_started,
-                             points=len(pending), jobs=jobs),
+                             points=len(pending), jobs=resolve_jobs(jobs)),
               file=sys.stderr)
     return run
 
 
-@keyword_only("runs_dir", "jobs", "cache_dir", "max_points", "profile",
-              lead=1)
 def resume_run(run_id: str, *,
                runs_dir: Union[str, os.PathLike] = DEFAULT_RUNS_DIR,
                jobs: int = 1, cache_dir: Optional[str] = None,
@@ -1160,15 +1170,6 @@ def resume_run(run_id: str, *,
                     cache_dir=cache_dir, max_points=max_points, resume=True,
                     profile=profile, publisher=publisher,
                     table_cache=table_cache)
-
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    """One job-resolution semantic for the whole harness (lazy import —
-    the orchestrator pulls in the analysis stack, which ``import
-    repro.runstore`` alone should not pay for)."""
-    from .experiments.orchestrator import _resolve_jobs as resolve
-
-    return resolve(jobs)
 
 
 def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
@@ -1200,107 +1201,3 @@ def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
                 "manifest edited, or the point-expansion order changed?)")
         out[index] = payload
     return out
-
-
-def _prepare_tables(payloads: Dict[int, Any], pending: List[int],
-                    jobs: int, *,
-                    external_publisher: Optional[Any] = None,
-                    table_cache: Optional[Any] = None):
-    """Solve the sweep's DP tables before the first point.
-
-    Only the *pending* points' tables are solved — a resume with a
-    handful of missing shards must not re-solve the whole grid's tables.
-    A parallel run publishes them to shared memory and returns the
-    publisher plus payloads carrying the handles.  A serial run (or a
-    single-point remainder) solves them into this process's cache and
-    returns ``None`` with unchanged payloads, as do scenario-kind payloads
-    and grids that need no tables.
-
-    With ``external_publisher`` (the run-service's service-lifetime
-    publisher), tables are published through it instead — even for
-    ``jobs=1`` in-process execution, since the point is sharing across
-    *concurrent submissions*, not across worker processes.  The returned
-    publisher is then ``None``: the caller's ``finally`` must never close
-    what it does not own.
-    """
-    if not pending or not isinstance(payloads[pending[0]], tuple):
-        return None, payloads
-    from .experiments.orchestrator import (
-        ExperimentConfig,
-        presolve_tables,
-        publish_shared_tables,
-    )
-
-    config = payloads[pending[0]][1]
-    if not isinstance(config, ExperimentConfig):
-        return None, payloads
-    points = [payloads[i][0] for i in pending]
-    if external_publisher is None and (jobs <= 1 or len(pending) <= 1):
-        presolve_tables(points, config)
-        return None, payloads
-    publisher, config = publish_shared_tables(
-        points, config, cache=table_cache, publisher=external_publisher)
-    if publisher is None and not config.shared_tables:
-        return None, payloads
-    return publisher, {i: (point, config)
-                       for i, (point, _config) in payloads.items()}
-
-
-def _execute_points(run: Run, payloads: Dict[int, Any], pending: List[int],
-                    *, jobs: int = 1, profile: bool = False,
-                    publisher: Optional[Any] = None,
-                    table_cache: Optional[Any] = None) -> Dict[str, float]:
-    """Evaluate ``pending`` payload indices, persisting each as it finishes.
-
-    Returns the aggregated per-stage seconds when ``profile`` is set
-    (empty dict otherwise); the caller renders them together with its own
-    spec-parse and consolidation timings.
-    """
-    if not pending:
-        return {}
-    profiles: List[Dict[str, float]] = []
-    shard_io = 0.0
-
-    def persist(index: int, row: Dict[str, Any]) -> None:
-        nonlocal shard_io
-        if profile:
-            profiles.append(pop_profile(row))
-            write_started = time.perf_counter()
-            run.write_point(index, row)
-            shard_io += time.perf_counter() - write_started
-        else:
-            run.write_point(index, row)
-
-    tables_started = time.perf_counter()
-    owned_publisher, payloads = _prepare_tables(
-        payloads, pending, jobs,
-        external_publisher=publisher, table_cache=table_cache)
-    tables_seconds = time.perf_counter() - tables_started
-    try:
-        if jobs <= 1 or len(pending) <= 1:
-            for index in pending:
-                persist(index, evaluate_payload(payloads[index]))
-        else:
-            # Parallel mode: submit everything, persist futures as they
-            # complete.  Rows are keyed by point index, so completion order
-            # never matters.
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {pool.submit(evaluate_payload, payloads[i]): i
-                           for i in pending}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining,
-                                               return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        persist(futures[future], future.result())
-    finally:
-        if owned_publisher is not None:
-            owned_publisher.close()
-    if not profile:
-        return {}
-    totals = aggregate_profiles(profiles)
-    totals["shard_io"] = totals.get("shard_io", 0.0) + shard_io
-    # The sweep's DP tables are solved before the first point, outside
-    # every point's own dp_solve timer.
-    totals["dp_solve"] = totals.get("dp_solve", 0.0) + tables_seconds
-    return totals

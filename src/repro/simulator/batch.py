@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.exceptions import SimulationError
 from ..workloads.owner_activity import pad_traces
-from .engine import CycleStealingSimulation, SchedulerFactory
+from .engine import CycleStealingSimulation
 from .metrics import SimulationReport, WorkstationMetrics
 
 __all__ = ["simulate_scenarios_batch", "simulate_batch"]
@@ -56,7 +56,7 @@ __all__ = ["simulate_scenarios_batch", "simulate_batch"]
 LIFESPAN_SLACK = 1e-9
 
 
-def simulate_scenarios_batch(scenarios: Sequence, scheduler: Optional[SchedulerFactory] = None,
+def simulate_scenarios_batch(scenarios: Sequence, scheduler=None,
                              *, scheduler_factory=None) -> List[SimulationReport]:
     """Simulate one report per scenario, all replications in one array pass.
 

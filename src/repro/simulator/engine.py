@@ -24,8 +24,7 @@ Design notes
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.exceptions import SimulationError
 from ..core.game import AdaptiveSchedulerProtocol
@@ -35,8 +34,7 @@ from .workstation import BorrowedWorkstation, WorkstationState
 
 __all__ = ["CycleStealingSimulation"]
 
-SchedulerFactory = Union[AdaptiveSchedulerProtocol,
-                         Callable[[BorrowedWorkstation], AdaptiveSchedulerProtocol]]
+SchedulerFactory = Callable[[BorrowedWorkstation], AdaptiveSchedulerProtocol]
 
 
 class CycleStealingSimulation:
@@ -47,10 +45,9 @@ class CycleStealingSimulation:
     workstations:
         The borrowed machines (contracts) to drive.
     scheduler:
-        A single adaptive scheduler shared by every contract.  (Passing a
-        bare callable factory here is deprecated — the old heuristic
-        misclassified callable objects that also define
-        ``episode_schedule``; use ``scheduler_factory=`` instead.)
+        A single adaptive scheduler shared by every contract.  A callable
+        that is not a scheduler is rejected: pass factories as
+        ``scheduler_factory=``.
     task_bag:
         Optional data-parallel workload (see
         :class:`repro.workloads.TaskBag`).  When present, completed
@@ -63,11 +60,9 @@ class CycleStealingSimulation:
     """
 
     def __init__(self, workstations: Sequence[BorrowedWorkstation],
-                 scheduler: Optional[SchedulerFactory] = None,
+                 scheduler: Optional[AdaptiveSchedulerProtocol] = None,
                  task_bag=None, *,
-                 scheduler_factory: Optional[
-                     Callable[[BorrowedWorkstation],
-                              AdaptiveSchedulerProtocol]] = None):
+                 scheduler_factory: Optional[SchedulerFactory] = None):
         if not workstations:
             raise SimulationError("at least one borrowed workstation is required")
         ids = [w.workstation_id for w in workstations]
@@ -81,9 +76,8 @@ class CycleStealingSimulation:
         self._clock = 0.0
 
     @staticmethod
-    def _resolve_scheduler(scheduler: Optional[SchedulerFactory],
-                           scheduler_factory) -> Callable[[BorrowedWorkstation],
-                                                          AdaptiveSchedulerProtocol]:
+    def _resolve_scheduler(scheduler: Optional[AdaptiveSchedulerProtocol],
+                           scheduler_factory) -> SchedulerFactory:
         if scheduler_factory is not None:
             if scheduler is not None:
                 raise SimulationError(
@@ -94,18 +88,13 @@ class CycleStealingSimulation:
             return scheduler_factory
         if scheduler is None:
             raise SimulationError("a scheduler (or scheduler_factory) is required")
-        if hasattr(scheduler, "episode_schedule"):
-            # A scheduler instance — even if it also happens to be callable.
-            return lambda _ws: scheduler
-        if callable(scheduler):
-            warnings.warn(
-                "passing a bare callable as the scheduler is deprecated; "
-                "use the explicit scheduler_factory= keyword instead",
-                DeprecationWarning, stacklevel=3)
-            return scheduler
-        raise SimulationError(
-            f"{scheduler!r} implements neither the adaptive scheduler "
-            "protocol nor a factory callable")
+        if not hasattr(scheduler, "episode_schedule"):
+            # A callable scheduler instance is still a scheduler; a bare
+            # callable is not.
+            raise SimulationError(
+                f"{scheduler!r} does not implement the adaptive scheduler "
+                "protocol; pass a factory callable as scheduler_factory=")
+        return lambda _ws: scheduler
 
     # ------------------------------------------------------------------
     # Public API

@@ -29,9 +29,7 @@ counts are dimensionless integers.
 
 File format
 -----------
-TOML (parsed with :mod:`tomllib` on Python ≥ 3.11, with a built-in
-fallback parser for the subset specs use on older interpreters) or JSON
-with the same structure::
+TOML (parsed with :mod:`tomllib`) or JSON with the same structure::
 
     [experiment]
     name = "laptop-typical-day"     # required
@@ -663,123 +661,14 @@ def decode_spec_data(text: str, *, format: Optional[str] = None,
 
 
 def _load_toml(raw: bytes, path: str) -> Mapping:
-    try:
-        import tomllib
-    except ImportError:  # Python < 3.11: the bundled subset parser
-        return _parse_mini_toml(raw.decode("utf-8"), path)
+    # Imported here, not at module level: most specs are JSON, and every
+    # `import repro.specs` would otherwise pay for the TOML parser.
+    import tomllib
+
     try:
         return tomllib.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise SpecError(f"invalid TOML in spec file {path!r}: {exc}") from exc
-
-
-def _parse_mini_toml(text: str, path: str) -> Dict[str, Any]:
-    """Parse the TOML subset spec files use, for interpreters without tomllib.
-
-    Supported: ``#`` comments, ``[dotted.table]`` headers, and
-    ``key = value`` lines where value is a string (double or single
-    quoted), boolean, integer, float, or a single-line array of those.
-    This is deliberately the *whole* dialect committed specs may use, so
-    a spec that parses on Python 3.9 parses identically on 3.12.
-    """
-    root: Dict[str, Any] = {}
-    table = root
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = _strip_toml_comment(line).strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            table = root
-            for part in stripped[1:-1].strip().split("."):
-                part = part.strip()
-                if not part:
-                    raise SpecError(
-                        f"{path}:{lineno}: empty table-name component")
-                table = table.setdefault(part, {})
-                if not isinstance(table, dict):
-                    raise SpecError(
-                        f"{path}:{lineno}: {part!r} is both a key and a table")
-            continue
-        if "=" not in stripped:
-            raise SpecError(
-                f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if not key:
-            raise SpecError(f"{path}:{lineno}: empty key")
-        table[key] = _parse_toml_value(value.strip(), path, lineno)
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    out = []
-    in_string: Optional[str] = None
-    for ch in line:
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_toml_value(token: str, path: str, lineno: int):
-    if not token:
-        raise SpecError(f"{path}:{lineno}: missing value")
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(item.strip(), path, lineno)
-                for item in _split_toml_array(inner, path, lineno)]
-    if (token.startswith('"') and token.endswith('"') and len(token) >= 2) or \
-            (token.startswith("'") and token.endswith("'") and len(token) >= 2):
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        if any(ch in token for ch in ".eE") and not token.lstrip("+-").isdigit():
-            return float(token)
-        return int(token.replace("_", ""))
-    except ValueError:
-        raise SpecError(
-            f"{path}:{lineno}: unsupported TOML value {token!r} "
-            "(the fallback parser accepts strings, booleans, numbers and "
-            "single-line arrays)") from None
-
-
-def _split_toml_array(inner: str, path: str, lineno: int) -> List[str]:
-    items, depth, current, in_string = [], 0, [], None
-    for ch in inner:
-        if in_string:
-            current.append(ch)
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-            current.append(ch)
-        elif ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if in_string:
-        raise SpecError(f"{path}:{lineno}: unterminated string in array")
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return items
 
 
 # ----------------------------------------------------------------------

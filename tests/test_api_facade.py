@@ -1,21 +1,18 @@
-"""The curated public facade and the keyword-only consolidation shims.
+"""The curated public facade and its keyword-only entry points.
 
 ``repro.__all__`` is the supported surface (docs/api.md): every name must
 resolve, the heavy ones must resolve *lazily*, and the config-bearing
-parameters of the blessed entry points are keyword-only — with a
-deprecation shim that keeps legacy positional callers working while
-naming the exact replacement spelling.
+parameters of the blessed entry points are keyword-only.
 """
 
+import pathlib
 import subprocess
 import sys
-import warnings
+import tomllib
 
 import pytest
 
 import repro
-from repro.experiments.grid import SweepPoint
-from repro.experiments.montecarlo import replicate_point
 from repro.runstore import ROW_SOURCES, run_spec
 from repro.specs import parse_spec
 
@@ -81,47 +78,12 @@ class TestSharedSourceVocabulary:
         assert set(schema) == set(run.rows()[0])
 
 
-class TestKeywordOnlyShims:
-    def test_run_spec_positional_runs_dir_warns_but_works(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run = run_spec(parse_spec(SPEC), str(tmp_path))
-        assert run.status == "complete"
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("runs_dir=..." in m and "run_spec" in m
-                   for m in messages)
+def test_positional_config_argument_is_a_type_error(tmp_path):
+    with pytest.raises(TypeError, match="positional"):
+        run_spec(parse_spec(SPEC), str(tmp_path))
 
-    def test_keyword_call_does_not_warn(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_spec(parse_spec(SPEC), runs_dir=str(tmp_path))
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
 
-    def test_replicate_point_positional_base_seed_matches_keyword(self):
-        point = SweepPoint(index=0, lifespan=80.0, setup_cost=1.0,
-                           max_interrupts=1, scheduler="equalizing-adaptive",
-                           adversary="poisson-owner")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = replicate_point(point, 4, 7)
-        assert any("base_seed=..." in str(w.message) for w in caught
-                   if issubclass(w.category, DeprecationWarning))
-        assert legacy == replicate_point(point, 4, base_seed=7)
-
-    def test_too_many_positionals_is_a_type_error(self):
-        point = SweepPoint(index=0, lifespan=80.0, setup_cost=1.0,
-                           max_interrupts=1, scheduler="equalizing-adaptive",
-                           adversary="poisson-owner")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError, match="positional"):
-                replicate_point(point, 4, 7, "event")
-
-    def test_positional_and_keyword_is_a_type_error(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError, match="multiple values"):
-                run_spec(parse_spec(SPEC), str(tmp_path),
-                         runs_dir=str(tmp_path))
+def test_package_and_project_versions_match():
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert repro.__version__ == project["version"]

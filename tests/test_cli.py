@@ -77,15 +77,14 @@ class TestParser:
         # argparse re-wraps the text; compare whitespace-normalised.
         assert " ".join(CACHE_DIR_HELP.split()) in " ".join(help_text.split())
 
-    def test_simulate_accepts_registry_and_legacy_names(self):
+    def test_simulate_accepts_only_registry_names(self):
         parser = build_parser()
         assert parser.parse_args(["simulate"]).scheduler == "equalizing-adaptive"
         assert parser.parse_args(
-            ["simulate", "--scheduler", "equalizing"]).scheduler == "equalizing"
-        assert parser.parse_args(
             ["simulate", "--scheduler", "geometric"]).scheduler == "geometric"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["simulate", "--scheduler", "nope"])
+        for name in ("equalizing", "nope"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["simulate", "--scheduler", name])
 
 
 class TestCommands:
@@ -113,7 +112,8 @@ class TestCommands:
         assert "dp-optimal" in out
 
     def test_simulate(self, capsys):
-        assert main(["simulate", "--scenario", "laptop", "--scheduler", "equalizing"]) == 0
+        assert main(["simulate", "--scenario", "laptop",
+                     "--scheduler", "equalizing-adaptive"]) == 0
         assert "laptop-0" in capsys.readouterr().out
 
     def test_csv_output(self, tmp_path, capsys):
@@ -176,27 +176,6 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in SCHEDULERS.names():
             assert name in out
-
-    def test_simulate_legacy_alias_matches_registry_name(self, capsys):
-        assert main(["simulate", "--scenario", "laptop",
-                     "--scheduler", "equalizing"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(["simulate", "--scenario", "laptop",
-                     "--scheduler", "equalizing-adaptive"]) == 0
-        assert legacy == capsys.readouterr().out
-
-    def test_simulate_legacy_fixed_alias_keeps_u_over_20_period(self, capsys):
-        """`--scheduler fixed` predates the registry and sized periods as
-        U/20; the registry's fixed-period factory uses max(10, U/50).  The
-        alias must keep its historical sizing so old invocations reproduce.
-        """
-        assert main(["simulate", "--scenario", "laptop",
-                     "--scheduler", "fixed"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(["simulate", "--scenario", "laptop",
-                     "--scheduler", "fixed-period"]) == 0
-        registry_out = capsys.readouterr().out
-        assert legacy != registry_out  # different period sizing by design
 
     def test_simulate_rejects_nonadaptive_scheduler_with_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

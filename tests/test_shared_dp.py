@@ -167,6 +167,27 @@ class TestTablePlan:
         assert serial.rows() == parallel.rows()
 
 
+class TestEntryPointParity:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_sweep_rows_equal_stored_run_rows(self, tmp_path, jobs):
+        spec = parse_spec({
+            "experiment": {"name": "parity", "kind": "sweep", "seed": 5,
+                           "replications": 8, "backend": "batch"},
+            "sweep": {"lifespans": [100, 200], "setup_costs": [1],
+                      "interrupts": [1, 2],
+                      "schedulers": ["equalizing-adaptive", "dp-optimal"],
+                      "adversaries": ["poisson-owner"], "optimal": True},
+        })
+        rows = run_sweep(spec.to_grid(), jobs=jobs,
+                         replications=spec.replications, seed=spec.seed,
+                         include_optimal=spec.optimal, backend=spec.backend,
+                         aggregation=spec.aggregation,
+                         chunk_size=spec.chunk_size, variance=spec.variance)
+        run = run_spec(spec, runs_dir=str(tmp_path), jobs=jobs)
+        assert len(rows) == 8
+        assert rows == run.rows()
+
+
 class TestProfiling:
     def test_pop_profile_strips_reserved_columns(self):
         row = {"a": 1.0, stage_column("referee"): 0.25,

@@ -16,6 +16,7 @@ from repro.simulator import (
     Event,
     EventKind,
     EventQueue,
+    simulate_batch,
 )
 from repro.workloads import constant_tasks
 
@@ -140,11 +141,14 @@ class TestSimulationBasics:
         assert sorted(factory_calls) == ["ws-0", "ws-1"]
         assert report.total_work == pytest.approx(198.0)
 
-    def test_bare_callable_scheduler_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            sim = CycleStealingSimulation([_single()],
-                                          lambda ws: SinglePeriodScheduler())
-        assert sim.run().total_work == pytest.approx(99.0)
+    def test_bare_callable_scheduler_is_rejected(self):
+        def factory(ws):
+            return SinglePeriodScheduler()
+
+        with pytest.raises(SimulationError, match="scheduler_factory="):
+            CycleStealingSimulation([_single()], factory)
+        with pytest.raises(SimulationError, match="scheduler_factory="):
+            simulate_batch([[_single()]], factory)
 
     def test_callable_scheduler_object_is_not_misclassified(self):
         # A scheduler that is *also* callable used to be ambiguous under the
@@ -170,28 +174,6 @@ class TestSimulationBasics:
     def test_non_callable_factory_rejected(self):
         with pytest.raises(SimulationError):
             CycleStealingSimulation([_single()], scheduler_factory=42)
-
-    def test_deprecated_callable_names_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match="scheduler_factory"):
-            CycleStealingSimulation([_single()],
-                                    lambda ws: SinglePeriodScheduler())
-
-    def test_deprecated_callable_still_routes_per_workstation(self):
-        # The legacy bare-callable form keeps factory behaviour until it is
-        # removed: it must be invoked with each workstation.
-        machines = [_single(),
-                    BorrowedWorkstation("ws-1", lifespan=100.0, setup_cost=1.0,
-                                        interrupt_budget=0)]
-        seen = []
-
-        def legacy(ws):
-            seen.append(ws.workstation_id)
-            return SinglePeriodScheduler()
-
-        with pytest.warns(DeprecationWarning):
-            report = CycleStealingSimulation(machines, legacy).run()
-        assert sorted(set(seen)) == ["ws-0", "ws-1"]
-        assert report.total_work == pytest.approx(198.0)
 
     def test_report_rows(self):
         report = CycleStealingSimulation([_single()], SinglePeriodScheduler()).run()

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import tomllib
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.specs import (
     ExperimentSpec,
     ScenarioPoint,
     SpecError,
-    _parse_mini_toml,
     canonical_spec_json,
     default_run_id,
     evaluate_payload,
@@ -81,19 +81,6 @@ class TestParsing:
         json_path = tmp_path / "spec.json"
         json_path.write_text(json.dumps(SCENARIO_SPEC))
         assert load_spec(toml_path) == load_spec(json_path)
-
-    def test_mini_toml_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_mini_toml(SCENARIO_TOML, "x.toml") \
-            == tomllib.loads(SCENARIO_TOML)
-
-    def test_mini_toml_parser_on_committed_specs(self):
-        tomllib = pytest.importorskip("tomllib")
-        paths = sorted(_SPECS_DIR.glob("*.toml"))
-        assert paths, "committed specs are missing"
-        for path in paths:
-            text = path.read_text()
-            assert _parse_mini_toml(text, str(path)) == tomllib.loads(text), path
 
     def test_committed_specs_all_validate(self):
         paths = sorted(_SPECS_DIR.glob("*.toml")) + sorted(_SPECS_DIR.glob("*.json"))
@@ -262,7 +249,6 @@ class TestMalformedSpecs:
                           "scenario.params")
 
     def test_invalid_toml_reports_path(self, tmp_path):
-        pytest.importorskip("tomllib")
         path = tmp_path / "bad.toml"
         path.write_text("[unclosed\n")
         with pytest.raises(SpecError) as excinfo:
@@ -284,31 +270,6 @@ class TestMalformedSpecs:
             load_spec(path)
         assert "bad.json" in str(excinfo.value)
 
-    def test_mini_toml_rejects_garbage(self):
-        with pytest.raises(SpecError):
-            _parse_mini_toml("just some words\n", "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml("key = {inline = 1}\n", "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml("key =\n", "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml("[a..b]\n", "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml("a = 1\n[a]\n", "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml('xs = ["unterminated]\n', "x.toml")
-        with pytest.raises(SpecError):
-            _parse_mini_toml(" = 1\n", "x.toml")
-
-    def test_mini_toml_values(self):
-        parsed = _parse_mini_toml(
-            'a = 1_000\nb = -2.5\nc = 1e3\nd = true\ne = false\n'
-            'f = "s"\ng = \'t\'\nempty = []\nnested = [[1, 2], [3]]\n',
-            "x.toml")
-        assert parsed == {"a": 1000, "b": -2.5, "c": 1000.0, "d": True,
-                          "e": False, "f": "s", "g": "t", "empty": [],
-                          "nested": [[1, 2], [3]]}
-
 
 class TestFamilyParams:
     def test_scenario_params_round_trip_and_reach_the_generator(self):
@@ -327,10 +288,10 @@ class TestFamilyParams:
         assert row["work_n"] == 2
 
     def test_scenario_params_from_toml_subtable(self):
-        spec = parse_spec(_parse_mini_toml(
+        spec = parse_spec(tomllib.loads(
             '[experiment]\nname = "x"\nkind = "scenario"\nreplications = 1\n'
             '[scenario]\nfamily = "laptop"\n'
-            '[scenario.params]\nlifespan = 90.0\n', "x.toml"))
+            '[scenario.params]\nlifespan = 90.0\n'))
         assert spec.family_params == {"lifespan": 90.0}
 
 
