@@ -5,6 +5,7 @@ resolve, the heavy ones must resolve *lazily*, and the config-bearing
 parameters of the blessed entry points are keyword-only.
 """
 
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import tomllib
 import pytest
 
 import repro
-from repro.runstore import ROW_SOURCES, run_spec
+from repro.experiments.grid import SweepPoint
+from repro.experiments.montecarlo import replicate_point
+from repro.runstore import ROW_SOURCES, resume_run, run_spec
 from repro.specs import parse_spec
 
 SPEC = {
@@ -81,6 +84,26 @@ class TestSharedSourceVocabulary:
 def test_positional_config_argument_is_a_type_error(tmp_path):
     with pytest.raises(TypeError, match="positional"):
         run_spec(parse_spec(SPEC), str(tmp_path))
+
+
+class TestKeywordOnlyEntryPoints:
+    @pytest.mark.parametrize("func, positional", [
+        (run_spec, ("spec",)),
+        (resume_run, ("run_id",)),
+        (replicate_point, ("point", "replications")),
+    ], ids=["run_spec", "resume_run", "replicate_point"])
+    def test_config_parameters_are_keyword_only(self, func, positional):
+        params = inspect.signature(func).parameters.values()
+        assert tuple(param.name for param in params
+                     if param.kind is not param.KEYWORD_ONLY) == positional
+
+    def test_replicate_point_positional_base_seed_is_a_type_error(self):
+        point = SweepPoint(index=0, lifespan=80.0, setup_cost=1.0,
+                           max_interrupts=1, scheduler="equalizing-adaptive",
+                           adversary="poisson-owner")
+        with pytest.raises(TypeError, match="positional"):
+            replicate_point(point, 4, 7)
+        assert replicate_point(point, 4, base_seed=7)["work_n"] == 4
 
 
 def test_package_and_project_versions_match():

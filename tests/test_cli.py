@@ -184,6 +184,19 @@ class TestCommands:
         assert "NOW simulator" in str(excinfo.value)
         assert "equalizing-adaptive" in str(excinfo.value)
 
+    @pytest.mark.parametrize("alias, name", [
+        ("equalizing", "equalizing-adaptive"),
+        ("rosenberg", "rosenberg-adaptive"),
+        ("fixed", "fixed-period"),
+        ("single", "single-period"),
+    ])
+    def test_simulate_rejects_pre_registry_alias(self, capsys, alias, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--scenario", "laptop", "--scheduler", alias])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and name in err
+
     def test_simulate_new_families(self, capsys):
         assert main(["simulate", "--scenario", "diurnal"]) == 0
         assert "diurnal-0" in capsys.readouterr().out

@@ -202,6 +202,16 @@ class TestEdgeCases:
         (batch_report,) = simulate_batch([ws], scheduler_factory=factory)
         assert_reports_identical(event_report, batch_report)
 
+    def test_bare_callable_rejection_matches_engine(self):
+        def factory(workstation):
+            return SinglePeriodScheduler()
+
+        with pytest.raises(SimulationError) as engine:
+            CycleStealingSimulation([_ws()], factory)
+        with pytest.raises(SimulationError) as batch:
+            simulate_scenarios_batch([SCENARIO_FAMILIES["laptop"]()], factory)
+        assert str(batch.value) == str(engine.value)
+
     def test_empty_batch(self):
         assert simulate_scenarios_batch([], EqualizingAdaptiveScheduler()) == []
 

@@ -255,6 +255,22 @@ class TestMalformedSpecs:
             load_spec(path)
         assert "bad.toml" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text", [
+        "just some words\n",
+        "key =\n",
+        "[a..b]\n",
+        "a = 1\n[a]\n",
+        'xs = ["unterminated]\n',
+        " = 1\n",
+    ], ids=["bare-words", "missing-value", "empty-table-name",
+            "table-redefines-key", "unterminated-string", "missing-key"])
+    def test_toml_syntax_errors_are_spec_errors(self, tmp_path, text):
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        with pytest.raises(SpecError, match="invalid TOML") as excinfo:
+            load_spec(path)
+        assert "bad.toml" in str(excinfo.value)
+
     def test_bad_file_extension_and_missing_file(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text("x")
@@ -293,6 +309,29 @@ class TestFamilyParams:
             '[scenario]\nfamily = "laptop"\n'
             '[scenario.params]\nlifespan = 90.0\n'))
         assert spec.family_params == {"lifespan": 90.0}
+
+
+    def test_scenario_params_from_toml_inline_table(self, tmp_path):
+        path = tmp_path / "inline.toml"
+        path.write_text(
+            '[experiment]\nname = "x"\nkind = "scenario"\nreplications = 1\n'
+            '[scenario]\nfamily = "laptop"\n'
+            'params = {lifespan = 90.0, interrupt_budget = 1}\n')
+        assert load_spec(path).family_params == {"lifespan": 90.0,
+                                                 "interrupt_budget": 1}
+
+    def test_toml_number_and_boolean_spellings(self, tmp_path):
+        path = tmp_path / "numbers.toml"
+        path.write_text(
+            '[experiment]\nname = "x"\nkind = "sweep"\nseed = 0x10\n'
+            'replications = 1_000\n'
+            '[sweep]\nlifespans = [1e2, 2_00.5]\ninterrupts = [1]\n'
+            'schedulers = ["equalizing-adaptive"]\n'
+            'adversaries = ["poisson-owner"]\noptimal = true\n')
+        spec = load_spec(path)
+        assert spec.seed == 16 and spec.replications == 1000
+        assert spec.lifespans == (100.0, 200.5)
+        assert spec.optimal is True
 
 
 class TestPayloads:
