@@ -93,20 +93,106 @@ class TestRunningMoments:
             moments.extend([3.0, float("nan")])
 
 
+def p2_state(estimator):
+    """Everything a P² estimator carries from one value to the next."""
+    return (estimator.count, list(estimator._heights),
+            list(estimator._positions), list(estimator._desired))
+
+
+def reference_p2_state(values, q):
+    """The marker state after feeding ``values`` one at a time, written out
+    as the textbook P² update (Jain & Chlamtac 1985) — an oracle that
+    shares no code with :class:`P2Quantile`."""
+    heights = sorted(values[:5])
+    positions = [0.0, 1.0, 2.0, 3.0, 4.0]
+    desired = ([0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
+               if len(values) >= 5 else [0.0] * 5)
+    rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+    if len(values) < 5:
+        return len(values), list(values), positions, desired
+    for x in values[5:]:
+        if x < heights[0]:
+            heights[0], cell = x, 0
+        elif x >= heights[4]:
+            heights[4], cell = x, 3
+        else:
+            cell = max(k for k in range(4) if x >= heights[k])
+        for i in range(cell + 1, 5):
+            positions[i] += 1.0
+        for i in range(5):
+            desired[i] += rates[i]
+        for i in (1, 2, 3):
+            h, n, d = heights, positions, desired[i] - positions[i]
+            if not ((d >= 1.0 and n[i + 1] - n[i] > 1.0)
+                    or (d <= -1.0 and n[i - 1] - n[i] < -1.0)):
+                continue
+            s = 1.0 if d >= 1.0 else -1.0
+            new = h[i] + s / (n[i + 1] - n[i - 1]) * (
+                (n[i] - n[i - 1] + s) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
+                + (n[i + 1] - n[i] - s) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
+            if not h[i - 1] < new < h[i + 1]:
+                j = i + int(s)
+                new = h[i] + s * (h[j] - h[i]) / (n[j] - n[i])
+            heights[i] = new
+            positions[i] += s
+    return len(values), heights, positions, desired
+
+
+def p2_streams(seed, size, kind, order):
+    """A stream of ``size`` values: continuous or small-integer (ties, like
+    the interrupt and episode columns), in random, sorted or reverse order."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        values = rng.integers(0, 4, size).astype(float)
+    else:
+        values = rng.exponential(10.0, size)
+    if order != "random":
+        values.sort()
+    if order == "reversed":
+        values = values[::-1]
+    return values.tolist()
+
+
+def assert_p2_chunk_invariant(values, boundaries, q):
+    one_by_one = P2Quantile(q)
+    for value in values:
+        one_by_one.update(value)
+    in_chunks = P2Quantile(q)
+    for piece in chunked(boundaries, values):
+        in_chunks.extend(piece)
+    expected = reference_p2_state(values, q)
+    assert p2_state(one_by_one) == expected
+    assert p2_state(in_chunks) == expected
+    assert in_chunks.value() == one_by_one.value()
+
+
 class TestP2Quantile:
     @given(values=st.lists(finite_values, min_size=1, max_size=60),
            boundaries=st.lists(st.integers(min_value=0, max_value=60),
                                max_size=6),
            q=st.sampled_from([0.1, 0.5, 0.9]))
     def test_bit_identical_under_any_chunking(self, values, boundaries, q):
-        one_by_one = P2Quantile(q)
-        for value in values:
-            one_by_one.update(value)
-        in_chunks = P2Quantile(q)
-        for piece in chunked(boundaries, values):
-            in_chunks.extend(piece)
-        assert in_chunks.count == one_by_one.count
-        assert in_chunks.value() == one_by_one.value()
+        assert_p2_chunk_invariant(values, boundaries, q)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           size=st.integers(min_value=1, max_value=2000),
+           kind=st.sampled_from(["continuous", "ties"]),
+           order=st.sampled_from(["random", "sorted", "reversed"]),
+           boundaries=st.lists(st.integers(min_value=0, max_value=2000),
+                               max_size=8),
+           q=st.sampled_from([0.1, 0.5, 0.9]))
+    def test_long_streams_bit_identical_under_any_chunking(
+            self, seed, size, kind, order, boundaries, q):
+        assert_p2_chunk_invariant(p2_streams(seed, size, kind, order),
+                                  boundaries, q)
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties"])
+    @pytest.mark.parametrize("order", ["random", "sorted", "reversed"])
+    def test_long_stream_in_one_chunk_matches_reference(self, kind, order):
+        values = p2_streams(5, 2000, kind, order)
+        for q in (0.1, 0.5, 0.9):
+            assert_p2_chunk_invariant(values, [97, 500, 1999], q)
 
     @given(values=st.lists(finite_values, min_size=1, max_size=4),
            q=st.sampled_from([0.1, 0.5, 0.9]))
