@@ -24,6 +24,8 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
+import numpy as np
+
 from ..core.schedule import EpisodeSchedule
 
 __all__ = ["Adversary"]
@@ -83,6 +85,10 @@ def last_instant_of_period(schedule: EpisodeSchedule, period_index: int) -> floa
     start = schedule.finish_time(period_index - 1)
     end = schedule.finish_time(period_index)
     # Stay strictly inside [start, end) while being as late as floating
-    # point allows for reporting purposes.
-    late = end - max((end - start) * 1e-12, 1e-15)
+    # point allows for reporting purposes.  A period much shorter than the
+    # spacing of floats near ``end`` (a rounding residue appended to fill
+    # the lifespan) would round ``late`` back onto ``end``, which lies in
+    # the next period — or past the episode for the last one.
+    late = min(end - max((end - start) * 1e-12, 1e-15),
+               float(np.nextafter(end, start)))
     return max(start, late)

@@ -35,6 +35,22 @@ class TestLastInstant:
         t = last_instant_of_period(schedule, 3)
         assert 8.0 <= t < 10.0
 
+    def test_short_period_far_from_zero_stays_inside(self):
+        # 0.75 * 1e-12 is below half an ulp of 16000: the plain offset
+        # rounds back onto T_2, which belongs to period 3.
+        schedule = EpisodeSchedule([15999.25, 0.75, 5.0])
+        t = last_instant_of_period(schedule, 2)
+        assert 15999.25 <= t < 16000.0
+        assert schedule.period_containing(t) == 2
+
+    def test_rounding_residue_last_period_stays_inside(self):
+        # A non-adaptive tail padded with the residue ``remaining - total``
+        # ends in a period a few ulps long.
+        schedule = EpisodeSchedule([999.9999999999997, 3.41e-13])
+        t = last_instant_of_period(schedule, 2)
+        assert t < schedule.total_length
+        assert schedule.period_containing(t) == 2
+
 
 class TestHeuristicAdversaries:
     def test_never(self, schedule):

@@ -41,11 +41,6 @@ AGGREGATIONS = (("exact", {"aggregation": "exact"}),
 REPLICATIONS = 300
 BASE_SEED = 7
 RELATIVE_TOLERANCE = 1e-12
-#: These configurations raise ``SchedulingError`` at this commit: the
-#: last-instant interrupt of a tiny rounding-residue period rounds onto the
-#: period's end (see ``repro.adversary.base.last_instant_of_period``).
-KNOWN_CRASHES = frozenset(("rosenberg-nonadaptive", "random-period", point)
-                          for point in POINTS)
 
 
 def configurations() -> Iterator[Tuple[str, SweepPoint, dict]]:
@@ -56,8 +51,6 @@ def configurations() -> Iterator[Tuple[str, SweepPoint, dict]]:
     """
     combos = itertools.product(SCHEDULERS, ADVERSARIES, POINTS)
     for index, (scheduler, adversary, (lifespan, c, p)) in enumerate(combos):
-        if (scheduler, adversary, (lifespan, c, p)) in KNOWN_CRASHES:
-            continue
         point = SweepPoint(index=index, lifespan=lifespan, setup_cost=c,
                            max_interrupts=p, scheduler=scheduler,
                            adversary=adversary)

@@ -52,6 +52,19 @@ class TestReplicatePointBackends:
         batch_row = replicate_point(point, 25, base_seed=4, backend="batch")
         rows_close(event_row, batch_row)
 
+    @pytest.mark.parametrize("adversary", ["random-period", "last-period"])
+    def test_nonadaptive_last_instant_points_batch_matches_event(self,
+                                                                 adversary):
+        # Here the padded tails end in rounding-residue periods a few ulps
+        # long; a last-instant interrupt must still fall inside them.
+        point = SweepPoint(index=0, lifespan=1000.0, setup_cost=2.0,
+                           max_interrupts=3,
+                           scheduler="rosenberg-nonadaptive",
+                           adversary=adversary)
+        event_row = replicate_point(point, 60, base_seed=3, backend="event")
+        batch_row = replicate_point(point, 60, base_seed=3, backend="batch")
+        rows_close(event_row, batch_row)
+
     def test_batch_is_deterministic(self):
         point = SweepPoint(index=5, lifespan=500.0, setup_cost=2.0,
                            max_interrupts=3, scheduler="equalizing-adaptive",
