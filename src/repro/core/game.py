@@ -377,50 +377,75 @@ def _state_blocks(counts: np.ndarray):
         yield start, len(counts)
 
 
-class _Block:
-    """Per-period arrays of a block of states, rows ordered by period count.
+class _Rows:
+    """Per-period sums of schedules laid out end to end in one flat array.
 
-    Row ``r`` is state ``rows[r]`` of the block; its periods sit at
-    ``starts[r]`` onwards in the flat arrays.  With rows of one period
-    count adjacent, each count's rows form one ``(rows, n)`` matrix view,
-    and a ``cumsum`` or ``sum`` along its rows is the 1-D one of each row,
-    bit for bit: ``children`` (``residual − T_j``) and ``banked`` (work
-    banked before period ``j``) equal what the schedule's own
-    ``finish_times`` give, ``uninterrupted`` its ``work_if_uninterrupted``,
-    and no row is padded.  ``banked``/``uninterrupted`` only ``with_work``.
+    Row ``r`` holds ``counts[r]`` periods from ``starts[r]`` on.  Rows of one
+    period count are adjacent, so each count's rows form one ``(rows, n)``
+    matrix view, and a ``cumsum`` or ``sum`` along its rows is the 1-D one
+    of each row, bit for bit, with no row padded: ``finish`` (``T_j``)
+    equals each schedule's ``finish_times``, ``total`` (only ``totals``) its
+    ``total_length``, and with a set-up cost ``c``, ``running`` (work
+    through period ``j``) and ``uninterrupted`` its prefix sums of
+    ``t_j ⊖ c`` and ``work_if_uninterrupted``.
     """
+
+    def __init__(self, periods: np.ndarray, counts: np.ndarray,
+                 c: Optional[float] = None, *, totals: bool = False):
+        self.periods = periods
+        self.counts = counts
+        self.starts = starts = _offsets(counts)
+        self.finish = np.empty_like(periods)
+        if totals:
+            self.total = np.empty(counts.size)
+        if c is not None:
+            works = np.maximum(periods - c, 0.0)
+            self.running = np.empty_like(works)
+            self.uninterrupted = np.empty(counts.size)
+        edges = [*np.flatnonzero(np.diff(counts, prepend=-1)).tolist(), counts.size]
+        offsets = starts.tolist()
+        for first, stop in zip(edges[:-1], edges[1:]):
+            n = int(counts[first])
+            span = slice(offsets[first], offsets[first] + (stop - first) * n)
+            matrix = periods[span].reshape(-1, n)
+            np.add.accumulate(matrix, axis=1, out=self.finish[span].reshape(-1, n))
+            if totals:
+                self.total[first:stop] = np.add.reduce(matrix, axis=1)
+            if c is not None:
+                matrix = works[span].reshape(-1, n)
+                np.add.accumulate(matrix, axis=1,
+                                  out=self.running[span].reshape(-1, n))
+                self.uninterrupted[first:stop] = np.add.reduce(matrix, axis=1)
+
+    @classmethod
+    def of(cls, schedules: Sequence[EpisodeSchedule], counts: np.ndarray,
+           c: Optional[float] = None, *, totals: bool = False) -> "_Rows":
+        """``schedules`` ordered by period count: row ``r`` is ``rows[r]``."""
+        rows = np.argsort(counts, kind="stable")
+        self = cls(np.concatenate([schedules[i].periods for i in rows.tolist()]),
+                   counts[rows], c, totals=totals)
+        self.rows = rows
+        return self
+
+
+class _Block:
+    """A block of referee states as :class:`_Rows`: per period ``children``
+    (``residual − T_j``) and, ``with_work``, ``banked`` (work banked before
+    period ``j``); per row ``uninterrupted``, ``with_work``."""
 
     def __init__(self, schedules: Sequence[EpisodeSchedule],
                  residuals: np.ndarray, state_counts: np.ndarray, c: float,
                  *, with_work: bool):
         self.state_counts = state_counts
-        self.rows = rows = np.argsort(state_counts, kind="stable")
-        self.counts = counts = state_counts[rows]
-        self.starts = starts = _offsets(counts)
-        periods = np.concatenate([schedules[i].periods for i in rows.tolist()])
-        finish = np.empty_like(periods)
+        sums = _Rows.of(schedules, state_counts, c if with_work else None)
+        self.rows, self.counts, self.starts = sums.rows, sums.counts, sums.starts
+        self.children = np.repeat(residuals[self.rows], self.counts) - sums.finish
         if with_work:
-            works = np.maximum(periods - c, 0.0)
-            running = np.empty_like(works)
-            self.uninterrupted = np.empty(counts.size)
-        edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
-        offsets = starts.tolist()
-        for first, stop in zip(edges[:-1], edges[1:]):
-            n = int(counts[first])
-            span = slice(offsets[first], offsets[first] + (stop - first) * n)
-            np.add.accumulate(periods[span].reshape(-1, n), axis=1,
-                              out=finish[span].reshape(-1, n))
-            if with_work:
-                matrix = works[span].reshape(-1, n)
-                np.add.accumulate(matrix, axis=1,
-                                  out=running[span].reshape(-1, n))
-                self.uninterrupted[first:stop] = np.add.reduce(matrix, axis=1)
-        self.children = np.repeat(residuals[rows], counts) - finish
-        if with_work:
+            self.uninterrupted = sums.uninterrupted
             # Banked before period j = running sum through period j - 1.
-            self.banked = np.empty_like(running)
-            self.banked[1:] = running[:-1]
-            self.banked[starts] = 0.0
+            self.banked = np.empty_like(sums.running)
+            self.banked[1:] = sums.running[:-1]
+            self.banked[self.starts] = 0.0
 
     def children_in_state_order(self) -> np.ndarray:
         """:attr:`children` with the rows back in state order."""
