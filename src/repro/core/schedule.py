@@ -91,18 +91,21 @@ class EpisodeSchedule:
         return self
 
     @classmethod
-    def _from_readonly_view(cls, view: np.ndarray) -> "EpisodeSchedule":
+    def _from_readonly_view(cls, view: np.ndarray,
+                            total_length: Optional[float] = None
+                            ) -> "EpisodeSchedule":
         """Wrap a 1-D float view of an already read-only buffer (no copy).
 
         Internal constructor for the batch assembly paths, which carve
         tens of thousands of (mostly single-period) schedules out of one
         shared array per call; the caller guarantees validity and that the
         base buffer is read-only, so neither a copy nor a ``setflags`` is
-        needed per schedule.
+        needed per schedule.  A caller that already summed the periods
+        (bit for bit as :attr:`total_length` would) may pass the sum.
         """
         self = cls.__new__(cls)
         self._periods = view
-        self._total_length = None
+        self._total_length = total_length
         self._finish_times = None
         return self
 

@@ -15,17 +15,15 @@ and, in streaming mode, no matter how the replications are chunked.
 Backends
 --------
 Both replication entry points accept ``backend="event"`` (the reference:
-one event-driven game/simulation per replication) or ``backend="batch"``
-(the vectorized backend of :mod:`repro.simulator.batch`, which plays all
-replications of a point level-by-level, sharing episode-schedule
-construction and doing the accounting with array passes).  Adversaries are
+one event-driven game/simulation per replication) or ``backend="batch"``.
+For a sweep point, the batch backend plays a chunk of replications one
+level (stretch) at a time: the alive replications' distinct states get
+their schedules in one batch and their finish times and work tables in one
+row pass, shared with the exact referee, and work is banked by array
+indexing; scenarios use :mod:`repro.simulator.batch`.  Adversaries are
 seeded and consulted identically under both backends, so for the same
 seeds the batch results match the event results exactly up to float
 summation order (``~1e-15`` relative; the equivalence tests pin ``1e-9``).
-Non-adaptive sweep points route through a dedicated batch path that
-mirrors :func:`repro.core.game.play_nonadaptive` with a tail-reuse-aware
-array pass (shared truncated/extended schedules, shared tails, vectorized
-completed-period accounting).
 
 Aggregation modes
 -----------------
@@ -68,7 +66,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import InvalidScheduleError, SchedulingError
-from ..core.game import play_adaptive, play_nonadaptive
+from ..core.game import (
+    _checked_schedules_batch,
+    _period_counts,
+    _Rows,
+    play_adaptive,
+    play_nonadaptive,
+)
 from ..core.schedule import EpisodeSchedule
 from .grid import SweepPoint, make_adversary, make_scheduler
 from .streaming import StreamingAggregator
@@ -250,9 +254,9 @@ def replicate_point(point: SweepPoint, replications: int,
     budget ``p`` because the referee stops consulting the adversary once
     the budget is spent.
 
-    ``backend="batch"`` plays replications level-synchronously with shared
-    episode-schedule construction; non-adaptive points use the dedicated
-    tail-reuse-aware batch pass.  ``aggregation`` / ``chunk_size`` select
+    ``backend="batch"`` plays replications a level at a time in array
+    passes, adaptive and non-adaptive points each in their own pass
+    (see the module docstring).  ``aggregation`` / ``chunk_size`` select
     the aggregation pipeline (see the module docstring); replication ``r``
     is always seeded by its absolute index, so results are independent of
     the chunking.  ``variance`` selects the replication design and CI
@@ -342,21 +346,77 @@ def replicate_point(point: SweepPoint, replications: int,
     return row
 
 
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The inverse permutation of ``order``."""
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    return ranks
+
+
+def _periods_ended(level: _Rows, rows: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """How many periods of row ``rows[i]`` end by ``times[i]``: each row's
+    ``searchsorted(finish, time, side="right")``, in one call on the keys
+    ``row + 1j·time`` (numpy orders complex numbers by real part, then
+    imaginary part, and both parts hold their values exactly)."""
+    keys = np.repeat(np.arange(level.counts.size), level.counts) \
+        + 1j * level.finish
+    return (np.searchsorted(keys, rows + 1j * times, side="right")
+            - level.starts[rows])
+
+
+def _play_level(level: _Rows, schedules: Sequence[EpisodeSchedule],
+                residuals: Sequence[float], alive: np.ndarray,
+                state: np.ndarray, adversaries: list, p: int, c: float,
+                works: np.ndarray, interrupts: np.ndarray,
+                episodes: np.ndarray):
+    """One episode of every alive replication; replication ``alive[i]``
+    plays row ``state[i]`` of ``level`` (``schedules``, ``residuals``).
+
+    Each adversary is consulted exactly as by the event referee; work is
+    banked with array indexing.  Returns the interrupted replications,
+    their rows and their interrupt times.
+    """
+    episodes[alive] += 1.0
+    chosen = [None] * alive.size
+    if p > 0:
+        chosen = [adversaries[r].choose_interrupt(schedules[s], residuals[s],
+                                                  p, c)
+                  for r, s in zip(alive.tolist(), state.tolist())]
+    hit = np.fromiter((t is not None for t in chosen), dtype=bool,
+                      count=alive.size)
+    times = np.array([float(t) for t in chosen if t is not None], dtype=float)
+    rows = state[hit]
+    lengths = level.total[rows]
+    bad = np.flatnonzero(~((0.0 <= times) & (times < lengths)))
+    if bad.size:
+        raise SchedulingError(
+            f"adversary chose interrupt time {float(times[bad[0]])!r} "
+            f"outside [0, {float(lengths[bad[0]])!r})")
+    works[alive[~hit]] += level.uninterrupted[state[~hit]]
+    reps = alive[hit]
+    completed = _periods_ended(level, rows, times)
+    done = completed > 0
+    works[reps[done]] += level.running[level.starts[rows[done]]
+                                       + completed[done] - 1]
+    interrupts[reps] += 1.0
+    return reps, rows, times
+
+
 def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
                       rep_stop: int, base_seed: int,
                       variance: str = "none"):
     """Adaptive game over replications ``[rep_start, rep_stop)``, level by level.
 
-    Mirrors :func:`repro.core.game.play_adaptive` step for step: every
-    replication's adversary is constructed with the same (absolute-index)
-    seed and consulted in the same episode order as under the event
-    backend, so both backends consume identical randomness regardless of
-    chunking.  Replications sharing a game state (residual lifespan,
-    interrupts left) share one validated schedule and its prefix-sum work
-    table; only the interrupted episodes' work values differ from the
-    referee's by float summation order (``~1e-15``).  The schedule memo
-    lives for one call — one chunk — so streaming chunked runs keep peak
-    memory flat even when every replication visits a distinct residual.
+    Mirrors :func:`repro.core.game.play_adaptive` step for step.  Level
+    ``k`` holds every replication interrupted ``k`` times so far, so all of
+    them have ``p - k`` interrupts left: their distinct residuals get their
+    validated schedules from one ``_checked_schedules_batch`` call and
+    their finish times and work tables from one row pass.  Every adversary
+    is seeded with its absolute index and consulted with the event
+    referee's arguments, so both backends consume identical randomness
+    under any chunking; only the interrupted episodes' work values differ
+    from the referee's, by float summation order (``~1e-15``).
     """
     params = point.params()
     c = params.setup_cost
@@ -365,78 +425,77 @@ def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
                                   seed=replication_seed(base_seed, point.index,
                                                         r, variance))
                    for r in range(rep_start, rep_stop)]
-    residual = [params.lifespan] * count
-    p_left = [params.max_interrupts] * count
-    works = [0.0] * count
-    interrupts = [0.0] * count
-    episodes = [0.0] * count
-    alive = list(range(count))
+    residual = np.full(count, params.lifespan)
+    works, interrupts, episodes = np.zeros(count), np.zeros(count), np.zeros(count)
+    alive = np.arange(count)
+    for p in range(params.max_interrupts, -1, -1):
+        if not alive.size:
+            break
+        values, state = np.unique(residual[alive], return_inverse=True)
+        schedules = _checked_schedules_batch(scheduler, values.tolist(), p, c)
+        level = _Rows.of(schedules, _period_counts(schedules), c, totals=True)
+        order = level.rows.tolist()
+        reps, _, times = _play_level(
+            level, [schedules[i] for i in order], values[order].tolist(),
+            alive, _ranks(level.rows)[state], adversaries, p, c, works,
+            interrupts, episodes)
+        residual[reps] -= times
+        alive = reps[residual[reps] > 0.0]
+    return works.tolist(), interrupts.tolist(), episodes.tolist()
 
-    # (residual, interrupts_left) -> (schedule, total_length, finishes,
-    #                                 prefix work, uninterrupted work)
-    memo: Dict[tuple, tuple] = {}
-    while alive:
-        groups: Dict[tuple, List[int]] = {}
-        for r in alive:
-            groups.setdefault((residual[r], p_left[r]), []).append(r)
 
-        missing: Dict[int, List[float]] = {}
-        for (res, p) in groups:
-            if (res, p) not in memo:
-                missing.setdefault(p, []).append(res)
-        for p, residuals in missing.items():
-            build = getattr(scheduler, "episode_schedule_batch", None)
-            if build is not None:
-                schedules = build(residuals, p, c)
-            else:
-                schedules = [scheduler.episode_schedule(res, p, c)
-                             for res in residuals]
-            for res, schedule in zip(residuals, schedules):
-                # The referee's checks, once per distinct schedule.
-                if not isinstance(schedule, EpisodeSchedule):
-                    raise SchedulingError(
-                        f"scheduler returned {type(schedule).__name__}, "
-                        "expected EpisodeSchedule")
-                try:
-                    schedule.validate_for_lifespan(res, require_exact=False)
-                except InvalidScheduleError as exc:
-                    raise SchedulingError(
-                        "scheduler produced an inadmissible schedule for "
-                        f"residual {res!r}: {exc}") from exc
-                finishes = schedule.finish_times
-                prefix = np.maximum(schedule.periods - c, 0.0).cumsum()
-                memo[(res, p)] = (schedule, schedule.total_length, finishes,
-                                  prefix, schedule.work_if_uninterrupted(c))
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``[starts[i], starts[i] + lengths[i])``."""
+    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            + np.arange(int(lengths.sum())))
 
-        next_alive: List[int] = []
-        for (res, p), group_reps in groups.items():
-            schedule, total_length, finishes, prefix, full_work = memo[(res, p)]
-            for r in group_reps:
-                episodes[r] += 1.0
-                interrupt: Optional[float] = None
-                if p > 0:
-                    interrupt = adversaries[r].choose_interrupt(schedule, res,
-                                                                p, c)
-                    if interrupt is not None:
-                        interrupt = float(interrupt)
-                        if not (0.0 <= interrupt < total_length):
-                            raise SchedulingError(
-                                f"adversary chose interrupt time {interrupt!r} "
-                                f"outside [0, {total_length!r})")
-                if interrupt is None:
-                    works[r] += full_work
-                    continue
-                completed = int(np.searchsorted(finishes, interrupt,
-                                                side="right"))
-                if completed:
-                    works[r] += float(prefix[completed - 1])
-                interrupts[r] += 1.0
-                residual[r] = residual[r] - interrupt
-                p_left[r] = p - 1
-                if residual[r] > 0.0:
-                    next_alive.append(r)
-        alive = next_alive
-    return works, interrupts, episodes
+
+def _current_rows(tails: _Rows, tail_of: np.ndarray, remaining: np.ndarray,
+                  c: float):
+    """The schedule each state plays, rows ordered by period count.
+
+    State ``i`` continues with row ``tail_of[i]`` of ``tails`` (``-1``: no
+    tail, one long period) over ``remaining[i]``: the tail, truncated to the
+    remaining lifespan, or padded with one more period up to it, exactly as
+    :func:`repro.core.game.play_nonadaptive` builds it.  Returns the row
+    sums, each state's row and the rows' schedules (views of one read-only
+    buffer).
+    """
+    lengths = np.append(tails.counts, 0)[tail_of]  # tail -1: no periods
+    total = np.append(tails.total, 0.0)[tail_of]
+    cut = total > remaining
+    pad = total < remaining
+    truncated = {}
+    for i in np.flatnonzero(cut).tolist():
+        start = tails.starts[tail_of[i]]
+        schedule = EpisodeSchedule(tails.periods[start:start + lengths[i]]
+                                   ).truncated_to(remaining[i])
+        if schedule.total_length < remaining[i]:
+            schedule = schedule.with_appended(remaining[i] - schedule.total_length)
+        truncated[i] = schedule.periods
+    counts = lengths + pad
+    counts[cut] = [len(periods) for periods in truncated.values()]
+    order = np.argsort(counts, kind="stable")
+    state_row = _ranks(order)
+    counts = counts[order]
+    starts = np.cumsum(counts) - counts
+    buffer = np.empty(int(counts.sum()))
+    copied = np.flatnonzero((lengths > 0) & ~cut)
+    buffer[_segments(starts[state_row[copied]], lengths[copied])] = \
+        tails.periods[_segments(tails.starts[tail_of[copied]], lengths[copied])]
+    padded = np.flatnonzero(pad)
+    buffer[starts[state_row[padded]] + lengths[padded]] = \
+        remaining[padded] - total[padded]
+    for i, periods in truncated.items():
+        buffer[starts[state_row[i]]:starts[state_row[i]] + periods.size] = periods
+    if not (np.all(np.isfinite(buffer)) and np.all(buffer > 0.0)):
+        raise InvalidScheduleError("period lengths must be finite and positive")
+    buffer.setflags(write=False)
+    level = _Rows(buffer, counts, c, totals=True)
+    schedules = [EpisodeSchedule._from_readonly_view(buffer[a:a + n], total)
+                 for a, n, total in zip(starts.tolist(), counts.tolist(),
+                                        level.total.tolist())]
+    return level, state_row, schedules
 
 
 def _play_point_nonadaptive_batch(point: SweepPoint, scheduler,
@@ -444,20 +503,16 @@ def _play_point_nonadaptive_batch(point: SweepPoint, scheduler,
                                   base_seed: int, variance: str = "none"):
     """Non-adaptive game over replications ``[rep_start, rep_stop)``.
 
-    Mirrors :func:`repro.core.game.play_nonadaptive` with a
-    *tail-reuse-aware* array pass: the committed opportunity schedule is
-    built and validated once; per stretch, replications facing the same
-    tail object with the same residual share one truncated/extended
-    schedule, its finish times and its prefix-sum work table; replications
-    interrupted in the same period of a shared schedule share one tail
-    object (so the grouping keeps paying off in later stretches); and the
-    completed-period lookups of a group run as one vectorized
-    ``searchsorted``.  Adversaries are consulted with exactly the event
-    referee's arguments, in replication order, so both paths consume
-    identical randomness; per-stretch work values differ from the event
-    referee's only by float summation order (cumsum vs pairwise,
-    ``~1e-15``).  All memos live for one call (one chunk), keeping peak
-    memory flat in streaming mode.
+    Mirrors :func:`repro.core.game.play_nonadaptive` a stretch at a time:
+    the committed schedule is built and validated once; per stretch, the
+    alive replications' distinct ``(tail, remaining lifespan)`` states get
+    their truncated or padded schedules in one read-only buffer, checked
+    once, and their finish times and work tables from one row pass.
+    Replications interrupted in the same period of the same state share
+    their tail.  Adversaries are consulted with exactly the event
+    referee's arguments, so both paths consume identical randomness;
+    per-stretch work values differ from the event referee's only by float
+    summation order (cumsum vs pairwise, ``~1e-15``).
     """
     params = point.params()
     c = params.setup_cost
@@ -475,97 +530,48 @@ def _play_point_nonadaptive_batch(point: SweepPoint, scheduler,
                                   seed=replication_seed(base_seed, point.index,
                                                         r, variance))
                    for r in range(rep_start, rep_stop)]
-    clock = [0.0] * count
-    left = [budget] * count
-    seen_interrupts = [0] * count
-    tails: List[Optional[EpisodeSchedule]] = [base] * count
-    works = [0.0] * count
-    interrupts = [0.0] * count
-    episodes = [0.0] * count
-    alive = list(range(count))
-
-    # (tail key, remaining) -> (schedule, total_length, finishes,
-    #                           prefix work, uninterrupted work)
-    current_memo: Dict[tuple, tuple] = {}
-    # (id(schedule), first kept period) -> shared tail object (or None)
-    tail_memo: Dict[tuple, Optional[EpisodeSchedule]] = {}
-    while alive:
-        groups: Dict[tuple, List[int]] = {}
-        for r in alive:
-            remaining = lifespan - clock[r]
+    clock = np.zeros(count)
+    works, interrupts, episodes = np.zeros(count), np.zeros(count), np.zeros(count)
+    alive = np.arange(count)
+    # Replication r continues with row tail[r] of tails (-1: one period).
+    tails = _Rows(base.periods, np.array([base.num_periods]), totals=True)
+    tail = np.zeros(count, dtype=np.int64)
+    for stretch in range(budget + 1):
+        if not alive.size:
+            break
+        if stretch == budget and budget > 0:
             # The Section 2.2 exception: after the p-th interrupt the rest
             # of the lifespan runs as one long period.
-            if left[r] == 0 and budget > 0 and seen_interrupts[r] > 0:
-                tail_key: tuple = ("single",)
-            elif tails[r] is None:
-                tail_key = ("single",)
-            else:
-                tail_key = ("tail", id(tails[r]))
-            groups.setdefault((tail_key, remaining), []).append(r)
-
-        for (tail_key, remaining), group_reps in groups.items():
-            if (tail_key, remaining) not in current_memo:
-                if tail_key[0] == "single":
-                    current = EpisodeSchedule.single_period(remaining)
-                else:
-                    tail = tails[group_reps[0]]
-                    current = tail.truncated_to(remaining)
-                    if current.total_length < remaining:
-                        current = current.with_appended(
-                            remaining - current.total_length)
-                current_memo[(tail_key, remaining)] = (
-                    current, current.total_length, current.finish_times,
-                    np.maximum(current.periods - c, 0.0).cumsum(),
-                    current.work_if_uninterrupted(c))
-
-        next_alive: List[int] = []
-        for (tail_key, remaining), group_reps in groups.items():
-            current, total_length, finishes, prefix, full_work = \
-                current_memo[(tail_key, remaining)]
-            pending: List[Tuple[int, float]] = []
-            for r in group_reps:
-                episodes[r] += 1.0
-                interrupt: Optional[float] = None
-                if left[r] > 0:
-                    interrupt = adversaries[r].choose_interrupt(
-                        current, remaining, left[r], c)
-                    if interrupt is not None:
-                        interrupt = float(interrupt)
-                        if not (0.0 <= interrupt < total_length):
-                            raise SchedulingError(
-                                f"adversary chose interrupt time {interrupt!r} "
-                                f"outside [0, {total_length!r})")
-                if interrupt is None:
-                    works[r] += full_work
-                else:
-                    pending.append((r, interrupt))
-            if not pending:
-                continue
-            times = np.asarray([t for _, t in pending], dtype=float)
-            completed = np.searchsorted(finishes, times, side="right")
-            # Oblivious continuation: the period containing the interrupt
-            # (clamped away from the exact end, as the event referee does)
-            # and everything before it are dropped; the rest is the tail.
-            clamped = (np.minimum(times, total_length * (1 - 1e-15))
-                       if total_length > 0 else times)
-            kept = np.searchsorted(finishes, clamped, side="right") + 1
-            for (r, interrupt), done, first_kept in zip(pending,
-                                                        completed.tolist(),
-                                                        kept.tolist()):
-                if done:
-                    works[r] += float(prefix[done - 1])
-                interrupts[r] += 1.0
-                seen_interrupts[r] += 1
-                tail_ref = (id(current), int(first_kept) + 1)
-                if tail_ref not in tail_memo:
-                    tail_memo[tail_ref] = current.tail_from(int(first_kept) + 1)
-                tails[r] = tail_memo[tail_ref]
-                clock[r] += interrupt
-                left[r] -= 1
-                if clock[r] < lifespan:
-                    next_alive.append(r)
-        alive = next_alive
-    return works, interrupts, episodes
+            tail[alive] = -1
+        # The distinct (tail, remaining lifespan) pairs, as exact complex keys.
+        keys, state = np.unique(tail[alive] + 1j * (lifespan - clock[alive]),
+                                return_inverse=True)
+        remaining = keys.imag.copy()
+        level, state_row, schedules = _current_rows(
+            tails, keys.real.astype(np.int64), remaining, c)
+        reps, rows, times = _play_level(
+            level, schedules, remaining[np.argsort(state_row)].tolist(), alive,
+            state_row[state], adversaries, budget - stretch, c, works,
+            interrupts, episodes)
+        # Oblivious continuation: the period containing the interrupt
+        # (clamped away from the exact end, as the event referee does)
+        # and everything before it are dropped; the rest is the tail.
+        kept = _periods_ended(level, rows,
+                              np.minimum(times, level.total[rows] * (1 - 1e-15)))
+        first = level.starts[rows] + kept + 1
+        lengths = level.counts[rows] - kept - 1
+        clock[reps] += times
+        tail[reps] = -1
+        has = lengths > 0
+        unique, index, tail_id = np.unique(first[has], return_index=True,
+                                           return_inverse=True)
+        tail_counts = lengths[has][index]
+        order = np.argsort(tail_counts, kind="stable")
+        tail[reps[has]] = _ranks(order)[tail_id]
+        tails = _Rows(level.periods[_segments(unique[order], tail_counts[order])],
+                      tail_counts[order], totals=True)
+        alive = reps[clock[reps] < lifespan]
+    return works.tolist(), interrupts.tolist(), episodes.tolist()
 
 
 def replicate_scenario(family, replications: int, *, base_seed: int = 0,
