@@ -121,6 +121,21 @@ class RunningMoments:
         return math.sqrt(self._m2 / (self.count - 1))
 
 
+def _p2_move(drift: float, left: float, height: float, right: float,
+             left_at: float, at: float, right_at: float) -> Tuple[float, float]:
+    """A P² marker's height and position after one step toward ``drift``:
+    along the parabola through it and its neighbours, or the line to the
+    neighbour it moves toward when the parabola leaves ``(left, right)``."""
+    step = 1.0 if drift >= 1.0 else -1.0
+    candidate = height + step / (right_at - left_at) * (
+        (at - left_at + step) * (right - height) / (right_at - at)
+        + (right_at - at - step) * (height - left) / (at - left_at))
+    if not left < candidate < right:
+        toward, toward_at = (right, right_at) if step > 0 else (left, left_at)
+        candidate = height + step * (toward - height) / (toward_at - at)
+    return candidate, at + step
+
+
 class P2Quantile:
     """One quantile, estimated online with the P² algorithm.
 
@@ -153,60 +168,7 @@ class P2Quantile:
         value = float(value)
         if math.isnan(value):
             _reject_nan(self.name, 1, 1, self.count)
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            if self.count == 5:
-                heights.sort()
-                q = self.q
-                self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
-                self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
-            return
-
-        positions = self._positions
-        # Locate the marker cell containing the observation, widening the
-        # extreme markers when it falls outside the current range.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        rates = self._rates
-        for i in range(5):
-            desired[i] += rates[i]
-
-        for i in (1, 2, 3):
-            drift = desired[i] - positions[i]
-            if (drift >= 1.0 and positions[i + 1] - positions[i] > 1.0) or \
-                    (drift <= -1.0 and positions[i - 1] - positions[i] < -1.0):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not heights[i - 1] < candidate < heights[i + 1]:
-                    candidate = self._linear(i, step)
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        self._absorb([value])
 
     def extend(self, values: Iterable[float]) -> None:
         arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
@@ -218,9 +180,63 @@ class P2Quantile:
         if nan_count:
             _reject_nan(self.name, nan_count, int(arr.size),
                         self.count + int(nan_mask.argmax()))
-        update = self.update
-        for value in arr.tolist():
-            update(value)
+        self._absorb(arr.tolist())
+
+    def _absorb(self, values: List[float]) -> None:
+        """Feed NaN-free ``values``, in order, one P² update each.
+
+        The five markers live in locals for the whole chunk, and a value
+        costs a call only when a marker moves; the arithmetic is that of a
+        per-value update, step for step, so the state is bit-identical
+        under any chunking of the stream.
+        """
+        start = min(max(5 - self.count, 0), len(values))
+        if start:
+            self._heights.extend(values[:start])
+            self.count += start
+            if self.count == 5:
+                self._heights.sort()
+                q = self.q
+                self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
+        if start == len(values):
+            return
+        h0, h1, h2, h3, h4 = self._heights
+        # Marker 0 stays at position 0 (desired 0): nothing ever moves it.
+        _, n1, n2, n3, n4 = self._positions
+        _, d1, d2, d3, d4 = self._desired
+        _, r1, r2, r3, r4 = self._rates
+        for x in values[start:]:
+            # Widen the extreme markers to a new minimum or maximum; every
+            # marker above the observation moves up one position (heights
+            # never decrease from marker to marker).
+            if x < h0:
+                h0 = x
+            elif x >= h4:
+                h4 = x
+            if x < h1:
+                n1 += 1.0
+            if x < h2:
+                n2 += 1.0
+            if x < h3:
+                n3 += 1.0
+            n4 += 1.0
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += r4
+            drift = d1 - n1
+            if drift >= 1.0 and n2 - n1 > 1.0 or drift <= -1.0 and 0.0 - n1 < -1.0:
+                h1, n1 = _p2_move(drift, h0, h1, h2, 0.0, n1, n2)
+            drift = d2 - n2
+            if drift >= 1.0 and n3 - n2 > 1.0 or drift <= -1.0 and n1 - n2 < -1.0:
+                h2, n2 = _p2_move(drift, h1, h2, h3, n1, n2, n3)
+            drift = d3 - n3
+            if drift >= 1.0 and n4 - n3 > 1.0 or drift <= -1.0 and n2 - n3 < -1.0:
+                h3, n3 = _p2_move(drift, h2, h3, h4, n2, n3, n4)
+        self.count += len(values) - start
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [0.0, n1, n2, n3, n4]
+        self._desired = [0.0, d1, d2, d3, d4]
 
     def value(self) -> float:
         """The current estimate (exact below five observations)."""
