@@ -356,13 +356,15 @@ def _ranks(order: np.ndarray) -> np.ndarray:
 def _periods_ended(level: _Rows, rows: np.ndarray,
                    times: np.ndarray) -> np.ndarray:
     """How many periods of row ``rows[i]`` end by ``times[i]``: each row's
-    ``searchsorted(finish, time, side="right")``, in one call on the keys
-    ``row + 1j·time`` (numpy orders complex numbers by real part, then
-    imaginary part, and both parts hold their values exactly)."""
-    keys = np.repeat(np.arange(level.counts.size), level.counts) \
-        + 1j * level.finish
-    return (np.searchsorted(keys, rows + 1j * times, side="right")
-            - level.starts[rows])
+    ``searchsorted(finish, time, side="right")``, bisected for all at once."""
+    lo = level.starts[rows]
+    hi = lo + level.counts[rows]
+    for _ in range(int(level.counts.max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        # A converged search (lo == hi) keeps its bounds whatever mid reads.
+        ended = level.finish[np.minimum(mid, level.finish.size - 1)] <= times
+        lo, hi = np.where(ended, np.minimum(mid + 1, hi), lo), np.where(ended, hi, mid)
+    return lo - level.starts[rows]
 
 
 def _play_level(level: _Rows, schedules: Sequence[EpisodeSchedule],
