@@ -237,6 +237,23 @@ class TestEpisodeScheduleBatch:
                     assert np.array_equal(scalar.periods, from_batch.periods), \
                         (make_scheduler.__name__, c, p, residual)
 
+    @pytest.mark.parametrize("make_scheduler", [EqualizingAdaptiveScheduler,
+                                                RosenbergAdaptiveScheduler])
+    def test_repeated_batches_keep_the_prefix_length(self, make_scheduler):
+        # A streaming Monte-Carlo run asks for one batch per level and
+        # chunk; a prefix that grew by a spare period on every call made
+        # each later batch's cut-off matrix, and the run's peak memory,
+        # grow with the number of chunks.
+        scheduler = make_scheduler()
+        residuals = np.linspace(3.0, 400.0, 50)
+        first = scheduler.episode_schedule_batch(residuals, 2, 1.0)
+        length = len(scheduler._ensure_prefix(2, 1.0, 400.0).body_t)
+        for _ in range(20):
+            again = scheduler.episode_schedule_batch(residuals, 2, 1.0)
+        assert len(scheduler._ensure_prefix(2, 1.0, 400.0).body_t) == length
+        assert all(np.array_equal(a.periods, b.periods)
+                   for a, b in zip(first, again))
+
     def test_tail_end_boundary(self):
         scheduler = EqualizingAdaptiveScheduler()
         state = scheduler._ensure_prefix(2, 1.0, 50.0)
