@@ -85,10 +85,9 @@ def last_instant_of_period(schedule: EpisodeSchedule, period_index: int) -> floa
     start = schedule.finish_time(period_index - 1)
     end = schedule.finish_time(period_index)
     # Stay strictly inside [start, end) while being as late as floating
-    # point allows for reporting purposes.  A period much shorter than the
-    # spacing of floats near ``end`` (a rounding residue appended to fill
-    # the lifespan) would round ``late`` back onto ``end``, which lies in
-    # the next period — or past the episode for the last one.
+    # point allows for reporting purposes.  For a period far shorter than
+    # ``end`` (a rounding residue padding the lifespan) the offset rounds
+    # away, and ``end`` itself lies in the next period or past the episode.
     late = min(end - max((end - start) * 1e-12, 1e-15),
                float(np.nextafter(end, start)))
     return max(start, late)

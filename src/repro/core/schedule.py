@@ -92,8 +92,7 @@ class EpisodeSchedule:
 
     @classmethod
     def _from_readonly_view(cls, view: np.ndarray,
-                            total_length: Optional[float] = None
-                            ) -> "EpisodeSchedule":
+                            total_length: Optional[float] = None) -> "EpisodeSchedule":
         """Wrap a 1-D float view of an already read-only buffer (no copy).
 
         Internal constructor for the batch assembly paths, which carve

@@ -68,6 +68,7 @@ import numpy as np
 from ..core.exceptions import InvalidScheduleError, SchedulingError
 from ..core.game import (
     _checked_schedules_batch,
+    _offsets,
     _period_counts,
     _Rows,
     play_adaptive,
@@ -448,7 +449,7 @@ def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices of the runs ``[starts[i], starts[i] + lengths[i])``."""
-    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return (np.repeat(starts - _offsets(lengths), lengths)
             + np.arange(int(lengths.sum())))
 
 
@@ -480,7 +481,7 @@ def _current_rows(tails: _Rows, tail_of: np.ndarray, remaining: np.ndarray,
     order = np.argsort(counts, kind="stable")
     state_row = _ranks(order)
     counts = counts[order]
-    starts = np.cumsum(counts) - counts
+    starts = _offsets(counts)
     buffer = np.empty(int(counts.sum()))
     copied = np.flatnonzero((lengths > 0) & ~cut)
     buffer[_segments(starts[state_row[copied]], lengths[copied])] = \

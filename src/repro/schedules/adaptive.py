@@ -315,10 +315,8 @@ class EqualizingAdaptiveScheduler(AdaptiveScheduler):
             return state
         while state.placed <= limit and not state.capped:
             self._extend_body(state, p, c)
-        # One spare past the limit, so every row finds its cut-off; a prefix
-        # an earlier batch already extended past it keeps its length.
         if len(state.body_placed) < 2 or state.body_placed[-2] <= limit:
-            self._extend_body(state, p, c)
+            self._extend_body(state, p, c)  # one spare: every row finds its cut-off
         return state
 
     def _extend_body(self, state: _BackwardPrefix, p: int, c: float) -> None:
@@ -458,10 +456,8 @@ class RosenbergAdaptiveScheduler(AdaptiveScheduler):
         increment = self.period_increment(p, c)
         while state.placed <= limit and not state.capped:
             self._extend_body(state, increment)
-        # One spare past the limit, so every row finds its cut-off; a prefix
-        # an earlier batch already extended past it keeps its length.
         if len(state.body_placed) < 2 or state.body_placed[-2] <= limit:
-            self._extend_body(state, increment)
+            self._extend_body(state, increment)  # one spare: every row finds its cut-off
         return state
 
     def _extend_body(self, state: _BackwardPrefix, increment: float) -> None:
