@@ -9,22 +9,17 @@ compares two code paths of the *same* tree; this one compares against
 numbers recorded before a change, so a refactor of the referee, the DP
 solver or the table cache that moves any result by even one bit fails
 here.  With a different numpy version than the recorded one the check
-falls back to a relative tolerance of ``1e-12``.
+falls back to a relative tolerance of ``1e-12`` (see ``golden.py``).
 
 Regenerate only on purpose, and read the printed keys::
 
     PYTHONPATH=src python tests/test_golden_gap_grid.py --update
 """
 
-import argparse
-import json
-import math
 import os
-import sys
 from typing import Dict
 
-import numpy as np
-
+import golden
 from repro.experiments import SweepGrid, run_sweep
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -35,7 +30,6 @@ GRID = SweepGrid(lifespans=(1000, 2000, 4000, 8000, 16000),
                  schedulers=("equalizing-adaptive", "rosenberg-adaptive",
                              "rosenberg-nonadaptive", "fixed-period",
                              "single-period"))
-RELATIVE_TOLERANCE = 1e-12
 
 
 def _point_key(row) -> str:
@@ -46,55 +40,15 @@ def _point_key(row) -> str:
 def compute_points() -> Dict[str, Dict[str, str]]:
     """``{point key: {column: float.hex}}`` of the current tree."""
     rows = run_sweep(GRID, jobs=1, include_optimal=True)
-    return {_point_key(row): {column: float(row[column]).hex()
+    return {_point_key(row): {column: golden.encode(row[column])
                               for column in COLUMNS}
             for row in rows}
 
 
-def load_golden() -> dict:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def test_gap_grid_matches_golden():
-    golden = load_golden()
-    current = compute_points()
-    assert sorted(current) == sorted(golden["points"])
-    exact = golden["numpy"] == np.__version__
-    mismatches = []
-    for key, expected in golden["points"].items():
-        for column in COLUMNS:
-            want = float.fromhex(expected[column])
-            got = float.fromhex(current[key][column])
-            same = (got == want if exact else
-                    math.isclose(got, want, rel_tol=RELATIVE_TOLERANCE,
-                                 abs_tol=0.0))
-            if not same:
-                mismatches.append((key, column, want, got))
-    assert not mismatches, mismatches[:10]
-
-
-def update() -> None:
-    """Rewrite the golden file and print every key whose values changed."""
-    previous = load_golden()["points"] if os.path.exists(GOLDEN_PATH) else {}
-    points = compute_points()
-    changed = sorted(key for key in set(points) | set(previous)
-                     if points.get(key) != previous.get(key))
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump({"numpy": np.__version__, "points": points}, handle,
-                  indent=1, sort_keys=True)
-        handle.write("\n")
-    for key in changed:
-        print(key)
-    print(f"{len(changed)} of {len(points)} points changed", file=sys.stderr)
+    golden.assert_matches(GOLDEN_PATH, "points", compute_points())
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true",
-                        help="regenerate the golden file from this tree")
-    if not parser.parse_args().update:
-        parser.error("pass --update to regenerate the golden file "
-                     "(run the check itself with pytest)")
-    update()
+    golden.main(GOLDEN_PATH, "points", compute_points,
+                __doc__.splitlines()[0])

@@ -9,23 +9,19 @@ backend="batch")``, and every column of its row is pinned in
 strings, string columns as themselves.  A rewrite of the batch replay, the
 streaming accumulators or the variance designs that moves any result by
 even one bit fails here.  With a different numpy version than the recorded
-one the numeric check falls back to a relative tolerance of ``1e-12``.
+one the numeric check falls back to a relative tolerance of ``1e-12``
+(see ``golden.py``).
 
 Regenerate only on purpose, and read the printed keys::
 
     PYTHONPATH=src python tests/test_golden_mc_batch.py --update
 """
 
-import argparse
 import itertools
-import json
-import math
 import os
-import sys
 from typing import Dict, Iterator, Tuple
 
-import numpy as np
-
+import golden
 from repro.experiments import SweepPoint, replicate_point
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -40,7 +36,6 @@ AGGREGATIONS = (("exact", {"aggregation": "exact"}),
                 ("streaming", {"aggregation": "streaming", "chunk_size": 97}))
 REPLICATIONS = 300
 BASE_SEED = 7
-RELATIVE_TOLERANCE = 1e-12
 
 
 def configurations() -> Iterator[Tuple[str, SweepPoint, dict]]:
@@ -61,72 +56,19 @@ def configurations() -> Iterator[Tuple[str, SweepPoint, dict]]:
                 yield key, point, dict(kwargs, variance=variance)
 
 
-def _encode(value) -> str:
-    return value if isinstance(value, str) else float(value).hex()
-
-
 def compute_rows() -> Dict[str, Dict[str, str]]:
     """``{configuration key: {column: encoded value}}`` of the current tree."""
     out = {}
     for key, point, kwargs in configurations():
         row = replicate_point(point, REPLICATIONS, base_seed=BASE_SEED,
                               backend="batch", **kwargs)
-        out[key] = {column: _encode(value) for column, value in row.items()}
+        out[key] = golden.encode_row(row)
     return out
 
 
-def load_golden() -> dict:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _same(expected: str, got: str, exact: bool) -> bool:
-    if expected == got:
-        return True
-    try:
-        want, have = float.fromhex(expected), float.fromhex(got)
-    except (TypeError, ValueError):
-        return False  # a string column differs
-    return not exact and math.isclose(have, want, rel_tol=RELATIVE_TOLERANCE,
-                                      abs_tol=0.0)
-
-
 def test_batch_rows_match_golden():
-    golden = load_golden()
-    current = compute_rows()
-    assert sorted(current) == sorted(golden["rows"])
-    exact = golden["numpy"] == np.__version__
-    mismatches = []
-    for key, expected in golden["rows"].items():
-        assert sorted(current[key]) == sorted(expected), key
-        for column, value in expected.items():
-            if not _same(value, current[key][column], exact):
-                mismatches.append((key, column, value, current[key][column]))
-    assert not mismatches, mismatches[:10]
-
-
-def update() -> None:
-    """Rewrite the golden file and print every key whose row changed."""
-    previous = load_golden()["rows"] if os.path.exists(GOLDEN_PATH) else {}
-    rows = compute_rows()
-    changed = sorted(key for key in set(rows) | set(previous)
-                     if rows.get(key) != previous.get(key))
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump({"numpy": np.__version__, "rows": rows}, handle,
-                  indent=1, sort_keys=True)
-        handle.write("\n")
-    for key in changed:
-        print(key)
-    print(f"{len(changed)} of {len(rows)} configurations changed",
-          file=sys.stderr)
+    golden.assert_matches(GOLDEN_PATH, "rows", compute_rows())
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true",
-                        help="regenerate the golden file from this tree")
-    if not parser.parse_args().update:
-        parser.error("pass --update to regenerate the golden file "
-                     "(run the check itself with pytest)")
-    update()
+    golden.main(GOLDEN_PATH, "rows", compute_rows, __doc__.splitlines()[0])
