@@ -9,10 +9,10 @@ re-verifies it in CI) need the *same* cluster workloads:
   ``REPRO_TEST_POINT_DELAY`` hook sleeps before evaluation), so point
   throughput scales with worker *processes* even on a single core and
   the committed speedup measures the executor, not the machine;
-* a **table-service** sweep with DP optima enabled, whose distinct
-  ``(L, c, p)`` key count is re-derivable from the spec — the committed
-  ``dp_solves`` must equal it exactly (one solve per key cluster-wide,
-  however many workers race).
+* a **table-service** sweep with DP optima enabled, whose planned-table
+  count is re-derivable from the spec — the committed ``dp_solves`` must
+  equal it exactly (one solve per planned table, the tables
+  ``run_spec(jobs=2)`` publishes, however many workers race).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from typing import Dict
 
 from repro.distributed import run_spec_distributed
-from repro.experiments.orchestrator import shared_table_keys
+from repro.experiments.orchestrator import plan_table_keys, shared_table_keys
 from repro.specs import expand_payloads, parse_spec, payload_config
 
 #: Worker counts the scaling table commits (process-level parallelism).
@@ -48,8 +48,8 @@ SCALING_SPEC = {
 }
 
 #: 8 points over 4 distinct DP table keys (2 lifespans x 2 setup costs,
-#: one interrupt budget); every key is needed by both schedulers, so
-#: workers genuinely race for the same tables.
+#: one interrupt budget), planned as one covering table per setup cost;
+#: every worker fetches both tables.
 TABLE_SPEC = {
     "experiment": {"name": "dist-tables", "kind": "sweep", "seed": 0,
                    "replications": 0},
@@ -60,17 +60,17 @@ TABLE_SPEC = {
 }
 
 
-def expected_table_keys() -> int:
-    """Distinct ``(L, c, p)`` DP keys of :data:`TABLE_SPEC`, re-derived.
+def planned_tables() -> int:
+    """How many DP tables the plan of :data:`TABLE_SPEC` holds, re-derived.
 
-    Uses the same expansion the workers themselves use, so the guard's
-    notion of "how many solves a perfect cluster needs" can never drift
-    from the executor's.
+    Uses the same expansion and plan as the executors themselves, so the
+    guard's notion of "how many solves a perfect cluster needs" can never
+    drift from theirs.
     """
     spec = parse_spec(TABLE_SPEC)
     config = payload_config(spec)
     points = [point for point, _config in expand_payloads(spec)]
-    return len(shared_table_keys(points, config))
+    return len(plan_table_keys(shared_table_keys(points, config)))
 
 
 def measure_scaling(runs_dir, workers: int,
@@ -98,14 +98,14 @@ def measure_scaling(runs_dir, workers: int,
         "points_per_s": round(points / elapsed, 3),
         "speedup": 0.0,  # filled against the 1-worker row by the caller
         "dp_solves": metrics["table_service"]["dp_solves"],
-        "distinct_table_keys": 0,
+        "planned_tables": 0,
         "table_requests": metrics["table_service"]["requests"],
         "shard_bytes_streamed": metrics["shards"]["bytes_streamed"],
     }
 
 
 def measure_table_service(runs_dir, workers: int = 2) -> Dict[str, object]:
-    """The committed table-service row: DP solves vs distinct keys."""
+    """The committed table-service row: DP solves vs planned tables."""
     spec = parse_spec(TABLE_SPEC)
     metrics: Dict[str, object] = {}
     started = time.perf_counter()
@@ -124,7 +124,7 @@ def measure_table_service(runs_dir, workers: int = 2) -> Dict[str, object]:
         "points_per_s": round(points / elapsed, 3),
         "speedup": 0.0,
         "dp_solves": metrics["table_service"]["dp_solves"],
-        "distinct_table_keys": expected_table_keys(),
+        "planned_tables": planned_tables(),
         "table_requests": metrics["table_service"]["requests"],
         "shard_bytes_streamed": metrics["shards"]["bytes_streamed"],
     }

@@ -5,21 +5,22 @@ and 4 loopback worker processes (each point's cost is pinned by the
 ``REPRO_TEST_POINT_DELAY`` hook, so throughput measures the executor —
 lease round-trips, shard streaming, coordinator writes — rather than
 the host's core count), plus one DP-enabled sweep evidencing the
-content-addressed table service: 8 points across 2 racing workers must
-cost exactly one DP solve per distinct ``(L, c, p)`` key.
+content-addressed table service: 8 points across 2 workers must cost
+exactly one DP solve per planned table, and each worker fetches each
+table once.
 
 The committed evidence (``benchmarks/results/distributed_sweep.*``) is
 enforced by ``scripts/check_bench_regression.py --only distributed-sweep``:
 the 2-worker speedup must stay at or above ``SPEEDUP_FLOOR`` and the
-table-service row must keep ``dp_solves == distinct_table_keys`` (the
-guard re-runs that cluster live and re-derives the key count).
+table-service row must keep ``dp_solves == planned_tables`` (the guard
+re-runs that cluster live and re-derives the plan).
 """
 
 from bench_util import save_rows
 from distributed_util import (
     SPEEDUP_FLOOR,
     WORKER_COUNTS,
-    expected_table_keys,
+    planned_tables,
     measure_scaling,
     measure_table_service,
 )
@@ -46,8 +47,8 @@ def test_bench_distributed_sweep(benchmark, tmp_path):
         f"throughput (floor {SPEEDUP_FLOOR}x)")
     assert by_workers[4]["speedup"] >= by_workers[2]["speedup"], (
         "4 workers slower than 2 — the executor stopped scaling")
-    # The tentpole's exactly-once claim: one DP solve per distinct key,
-    # cluster-wide, no matter how the 2 workers raced for tables.
-    assert table_row["dp_solves"] == expected_table_keys() \
-        == table_row["distinct_table_keys"]
-    assert table_row["table_requests"] >= table_row["dp_solves"]
+    # Exactly once: one DP solve per planned table, cluster-wide, and
+    # each of the 2 workers fetches each table once.
+    assert table_row["dp_solves"] == planned_tables() \
+        == table_row["planned_tables"]
+    assert table_row["table_requests"] == 2 * table_row["dp_solves"]

@@ -419,11 +419,12 @@ def check_distributed_sweep(results_dir: str, max_lifespan: float,
       (the executor's acceptance bar) and the speedup column is
       arithmetically consistent with the committed throughputs;
     * the committed table-service row claims exactly one DP solve per
-      distinct ``(L, c, p)`` key, where the key count is **re-derived**
-      from the spec through the workers' own expansion;
+      planned table, where the plan is **re-derived** from the spec
+      through the executors' own expansion and plan;
     * the table-service cluster is **re-run live** (2 workers over
       loopback — sub-second) and must again cost exactly one solve per
-      key, so the exactly-once property is tested, not just remembered.
+      planned table, so the exactly-once property is tested, not just
+      remembered.
     """
     import tempfile
 
@@ -431,8 +432,8 @@ def check_distributed_sweep(results_dir: str, max_lifespan: float,
     from distributed_util import (
         SPEEDUP_FLOOR,
         WORKER_COUNTS,
-        expected_table_keys,
         measure_table_service,
+        planned_tables,
     )
 
     path = os.path.join(results_dir, "distributed_sweep.csv")
@@ -468,29 +469,29 @@ def check_distributed_sweep(results_dir: str, max_lifespan: float,
                 f"below the {SPEEDUP_FLOOR:g}x floor — regenerate the "
                 "evidence only after fixing the regression")
 
-    expected_keys = expected_table_keys()
+    expected = planned_tables()
     if not table_rows:
         failures.append(f"{path}: no table-service row — regenerate the "
                         "evidence")
     for row in table_rows:
         committed_solves = int(row["dp_solves"])
-        committed_keys = int(row["distinct_table_keys"])
-        if not committed_solves == committed_keys == expected_keys:
+        committed_tables = int(row["planned_tables"])
+        if not committed_solves == committed_tables == expected:
             failures.append(
                 f"{path}: table-service row claims {committed_solves} DP "
-                f"solves over {committed_keys} keys; the spec re-derives "
-                f"{expected_keys} distinct keys — exactly-once is broken "
-                "or the spec drifted from the committed table")
+                f"solves over {committed_tables} planned tables; the spec "
+                f"re-derives {expected} planned tables — exactly-once is "
+                "broken or the spec drifted from the committed table")
         checked += 1
 
     # Live exactly-once: run the table-service cluster here and now.
     with tempfile.TemporaryDirectory() as runs_dir:
         live = measure_table_service(runs_dir)
-    if int(live["dp_solves"]) != expected_keys:
+    if int(live["dp_solves"]) != expected:
         failures.append(
             f"live table-service cluster cost {live['dp_solves']} DP solves "
-            f"for {expected_keys} distinct keys — the content-addressed "
-            "table service re-solved (or skipped) a table")
+            f"for {expected} planned tables — the coordinator re-solved "
+            "(or skipped) a table")
     checked += 1
     return checked, failures
 

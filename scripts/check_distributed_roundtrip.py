@@ -20,7 +20,8 @@ processes over loopback TCP:
    (``columns.vouch.json`` is excluded — it records machine-local stat
    signatures and is advisory by design);
 5. assert the surviving workers exited cleanly and that the coordinator
-   solved each DP table exactly once cluster-wide.
+   solved exactly the run's planned DP tables — the ones ``run_spec``
+   with ``--jobs`` publishes — once each.
 
 Exit code 0 when every check passes, 1 otherwise (failures are also
 emitted as GitHub Actions ``::error::`` annotations).
@@ -32,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -43,8 +45,17 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.experiments.orchestrator import (  # noqa: E402
+    plan_table_keys,
+    shared_table_keys,
+)
 from repro.runstore import run_spec  # noqa: E402
-from repro.specs import default_run_id, parse_spec  # noqa: E402
+from repro.specs import (  # noqa: E402
+    default_run_id,
+    expand_payloads,
+    parse_spec,
+    payload_config,
+)
 
 #: The round-trip workload: 12 Monte-Carlo points with DP optima, so the
 #: kill exercises lease recovery AND the table service in one pass.
@@ -203,18 +214,19 @@ def main(argv=None) -> int:
                     f"differing files: {differing[:10]}")
 
     # Phase 4: the coordinator's summary must show exactly one DP solve
-    # per distinct (L, c, p) key — 6 here (3 lifespans x 1 cost x 2
-    # budgets) — however the three workers raced for tables.
-    expected_keys = len({(int(L), 1, p)
-                         for L in SPEC["sweep"]["lifespans"]
-                         for p in SPEC["sweep"]["interrupts"]})
-    if f"{expected_keys} DP solves" not in summary:
-        return fail(f"expected exactly {expected_keys} DP solves in the "
+    # per planned table — 1 here (one covering table for the single setup
+    # cost), re-derived through the executors' own plan.
+    points = [point for point, _config in expand_payloads(spec)]
+    expected = len(plan_table_keys(shared_table_keys(points,
+                                                     payload_config(spec))))
+    solves = re.search(r"(\d+) DP solves", summary)
+    if solves is None or int(solves.group(1)) != expected:
+        return fail(f"expected exactly {expected} DP solves in the "
                     f"coordinator summary, got: {summary}")
 
     print(f"ok: {spec.num_points()}-point sweep survived a worker SIGKILL "
           f"byte-identically ({len(cluster_tree)} files compared, "
-          f"{expected_keys} DP solves cluster-wide)")
+          f"{expected} DP solves cluster-wide)")
     return 0
 
 

@@ -4,9 +4,11 @@ A coordinator owns a run directory and leases pending point indices to
 workers over a length-prefixed JSON/TCP protocol; workers compute
 points through the exact same ``expand_payload_at`` /
 ``evaluate_payload`` machinery as a local run and stream deterministic
-shard bytes back, sha256-verified.  A content-addressed table service
-solves each DP ``(L, c, p, method)`` table once per *cluster* and ships
-the bytes to whichever machines need them.
+shard bytes back, sha256-verified.  Before serving anything the
+coordinator solves the run's planned DP tables — the ones ``--jobs``
+publishes to shared memory — and a content-addressed table service ships
+each to every worker once, under the table's own ``(L, c, p, method)``
+key.
 
 See ``docs/distributed.md`` for the protocol frames, the lease
 lifecycle, and the failure matrix.

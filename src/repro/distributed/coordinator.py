@@ -1,9 +1,12 @@
 """Coordinator side of the distributed sweep executor.
 
-Owns the run directory and the authoritative point ledger.  Workers
-connect over TCP, lease pending point indices (work-stealing: whoever
-asks first gets the next point), fetch DP tables from the content-
-addressed table service, and stream completed shard bytes back.  The
+Owns the run directory and the authoritative point ledger.  Before it
+serves anything, the coordinator solves the DP tables the run's pending
+points need — the same plan ``--jobs`` publishes to shared memory, see
+:func:`~repro.experiments.orchestrator.solve_table_plan`.  Workers
+connect over TCP, fetch those tables from the content-addressed table
+service, lease pending point indices (work-stealing: whoever asks first
+gets the next point), and stream completed shard bytes back.  The
 coordinator is the *only* process that writes the run store, so every
 atomicity/resume/vouch guarantee of a single-machine run carries over
 verbatim — a remotely computed shard lands through the same
@@ -29,9 +32,21 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.exceptions import CycleStealingError
-from ..experiments.cache import DPTableCache, serialize_table
+from ..experiments.cache import (
+    CacheKey,
+    DPTableCache,
+    serialize_table,
+    table_key,
+)
+from ..experiments.orchestrator import solve_table_plan
 from ..runstore import DEFAULT_RUNS_DIR, Run, RunStore, RunStoreError, run_spec
-from ..specs import ExperimentSpec, default_run_id, spec_digest, spec_to_dict
+from ..specs import (
+    ExperimentSpec,
+    default_run_id,
+    payload_config,
+    spec_digest,
+    spec_to_dict,
+)
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -185,8 +200,6 @@ class CoordinatorMetrics:
     workers_seen: Set[str] = field(default_factory=set)
     workers_connected: int = 0
     table_requests: int = 0
-    table_hits: int = 0
-    table_misses: int = 0
     table_bytes_streamed: int = 0
     shards_streamed: int = 0
     shard_bytes_streamed: int = 0
@@ -214,27 +227,14 @@ class Coordinator:
                  host: str = "127.0.0.1", port: int = 0,
                  lease_ttl: float = 60.0,
                  resume: bool = False,
-                 cache_dir: Optional[str] = None,
-                 table_cache: Optional[DPTableCache] = None):
+                 cache_dir: Optional[str] = None):
         self.spec = spec
         self.spec_digest = spec_digest(spec)
         self._spec_data = spec_to_dict(spec)
         self._host, self._port = host, int(port)
         self._lease_ttl = float(lease_ttl)
-        # Covering lookups are disabled: the table service is
-        # content-addressed, so a request for (60, 1, 1) must yield THE
-        # blob for that key — not a larger covering table whose bytes
-        # (and sha256) depend on which keys other workers asked for
-        # first.  Exact keys keep the blob-per-key mapping canonical and
-        # make "one DP solve per distinct key" a deterministic invariant
-        # rather than an arrival-order accident.
-        self._cache = (table_cache if table_cache is not None
-                       else DPTableCache(cache_dir=cache_dir,
-                                         allow_covering=False))
         self.metrics = CoordinatorMetrics()
         self._metrics_lock = threading.Lock()
-        self._table_wire: Dict[Tuple[int, int, int, str],
-                               Tuple[int, bytes, str]] = {}
         self._write_lock = threading.Lock()
         self._finished = threading.Event()
         self._failure: Optional[BaseException] = None
@@ -261,12 +261,37 @@ class Coordinator:
                                 max_points=0, cache_dir=cache_dir)
         done = self.run.completed_points()
         total = self.run.num_points
-        self.ledger = PointLedger(
-            (i for i in range(total) if i not in done),
-            ttl=self._lease_ttl, total=total, done=done)
+        pending = [i for i in range(total) if i not in done]
+        self.ledger = PointLedger(pending, ttl=self._lease_ttl, total=total,
+                                  done=done)
         self._payload_digests = self.run.manifest.get("payload_digests")
+        self._dp_solves = 0
+        self._tables = self._solve_tables(pending, cache_dir)
         if self.ledger.all_done():
             self._finalise()
+
+    def _solve_tables(self, pending: List[int], cache_dir: Optional[str]
+                      ) -> Dict[CacheKey, Tuple[bytes, str]]:
+        """Wire bytes and sha256 of the pending points' planned DP tables.
+
+        Each table is listed under its own key.  A larger covering table
+        found in ``cache_dir`` is listed under its key, not the planned
+        one, so every key maps to exactly one blob.
+        """
+        config = payload_config(self.spec, cache_dir=cache_dir)
+        if config is None:  # scenario specs have no DP tables
+            return {}
+        grid = self.spec.to_grid()
+        cache = DPTableCache(cache_dir=cache_dir)
+        tables = solve_table_plan([grid.point_at(i) for i in pending],
+                                  config, cache)
+        self._dp_solves = cache.stats.misses
+        wire = {}
+        for table in tables:
+            blob = serialize_table(table)
+            wire[table_key(table, config.dp_method)] = (
+                blob, hashlib.sha256(blob).hexdigest())
+        return dict(sorted(wire.items()))
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -346,9 +371,7 @@ class Coordinator:
                 "workers": {"connected": m.workers_connected,
                             "seen": len(m.workers_seen)},
                 "table_service": {"requests": m.table_requests,
-                                  "hits": m.table_hits,
-                                  "misses": m.table_misses,
-                                  "dp_solves": self._cache.stats.misses,
+                                  "dp_solves": self._dp_solves,
                                   "bytes_streamed": m.table_bytes_streamed},
                 "shards": {"streamed": m.shards_streamed,
                            "bytes_streamed": m.shard_bytes_streamed,
@@ -446,7 +469,8 @@ class Coordinator:
                           "num_points": self.run.num_points,
                           "lease_ttl": self._lease_ttl,
                           "worker_id": worker_id,
-                          "spec": self._spec_data})
+                          "spec": self._spec_data,
+                          "tables": [list(key) for key in self._tables]})
         return worker_id
 
     def _handle_lease(self, header: Dict[str, Any]) -> Dict[str, Any]:
@@ -473,40 +497,16 @@ class Coordinator:
     def _handle_table(self,
                       header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
         raw = header.get("key")
-        if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
-            return soft_error(f"malformed table key {raw!r}"), b""
         try:
-            key = (int(raw[0]), int(raw[1]), int(raw[2]), str(raw[3]))
-        except (TypeError, ValueError):
-            return soft_error(f"malformed table key {raw!r}"), b""
+            blob, digest = self._tables[tuple(raw)]
+        except (KeyError, TypeError):  # unplanned, malformed or unhashable
+            return soft_error(
+                f"table {raw!r} is not one of this run's planned tables "
+                f"{[list(key) for key in self._tables]}"), b""
         with self._metrics_lock:
             self.metrics.table_requests += 1
-            entry = self._table_wire.get(key)
-            if entry is not None:
-                self.metrics.table_hits += 1
-        if entry is None:
-            # DPTableCache.solve holds an RLock, so concurrent workers
-            # requesting the same key still trigger exactly one solve.
-            try:
-                table = self._cache.solve(key[0], key[1], key[2],
-                                          method=key[3])
-            except CycleStealingError as exc:
-                return soft_error(f"cannot solve table {key!r}: {exc}"), b""
-            blob = serialize_table(table)
-            digest = hashlib.sha256(blob).hexdigest()
-            with self._metrics_lock:
-                entry = self._table_wire.get(key)
-                if entry is None:
-                    entry = (table.setup_cost, blob, digest)
-                    self._table_wire[key] = entry
-                    self.metrics.table_misses += 1
-                else:
-                    self.metrics.table_hits += 1
-        setup_cost, blob, digest = entry
-        with self._metrics_lock:
             self.metrics.table_bytes_streamed += len(blob)
-        return {"type": "table", "key": list(key), "setup_cost": setup_cost,
-                "sha256": digest}, blob
+        return {"type": "table", "key": raw, "sha256": digest}, blob
 
     def _handle_result(self, header: Dict[str, Any],
                        blob: bytes) -> Dict[str, Any]:

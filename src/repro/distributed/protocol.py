@@ -17,8 +17,10 @@ JSON-encoded, so a megabyte table costs a megabyte on the wire).
 Message catalogue (worker -> coordinator, with the coordinator's replies):
 
 ``hello {protocol, worker_id, spec_digest?}``
-    Handshake.  Reply ``welcome {run_id, num_points, lease_ttl, spec}``
-    or ``error`` (protocol or spec-digest mismatch; fatal).
+    Handshake.  Reply ``welcome {run_id, num_points, lease_ttl, spec,
+    tables}`` or ``error`` (protocol or spec-digest mismatch; fatal).
+    ``tables`` lists the key ``[L, c, p, method]`` of every DP table the
+    coordinator solved for the run's pending points.
 ``lease {worker_id}``
     Ask for work.  Reply ``grant {index, lease_id, ttl, payload_digest?}``,
     ``wait {retry_after}`` (everything leased out, not everything done),
@@ -27,8 +29,9 @@ Message catalogue (worker -> coordinator, with the coordinator's replies):
     Renew held leases.  Reply ``ok {renewed, lost}``; a lease in ``lost``
     expired and was handed to someone else — abandon that point.
 ``table {key}``
-    Fetch a DP table by cache key ``[L, c, p, method]``.  Reply
-    ``table {key, setup_cost, sha256, blob_len}`` + blob.
+    Fetch one of the tables ``welcome`` listed.  Reply
+    ``table {key, sha256, blob_len}`` + blob; a key not in the list gets a
+    soft ``error``.
 ``result {worker_id, index, lease_id, sha256, blob_len}`` + blob
     Stream one completed point's shard bytes.  Reply
     ``ok {accepted, duplicate}`` or ``error {message, fatal}``.
@@ -58,7 +61,7 @@ __all__ = ["PROTOCOL_VERSION", "ProtocolError", "send_frame", "recv_frame",
 
 #: Bump on any incompatible frame/message change; the handshake refuses
 #: mismatched peers before any work is leased.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _LEN = struct.Struct(">I")
 

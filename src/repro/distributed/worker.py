@@ -1,20 +1,21 @@
 """Worker side of the distributed sweep executor.
 
 A worker is stateless: it connects, adopts the coordinator's spec (or
-verifies its own copy by digest), then loops lease -> expand -> fetch
-missing DP tables -> evaluate -> stream the shard bytes back.  All the
-actual science runs through the exact same code paths as a local run —
-``expand_payload_at`` + ``evaluate_payload`` — so a worker can never
-produce different numbers than ``--jobs`` on one machine.
+verifies its own copy by digest), fetches the DP tables the ``welcome``
+lists, then loops lease -> expand -> evaluate -> stream the shard bytes
+back.  All the actual science runs through the exact same code paths as
+a local run — ``expand_payload_at`` + ``evaluate_payload`` — so a worker
+can never produce different numbers than ``--jobs`` on one machine.
 
-Tables fetched from the coordinator's table service are published into
-*local* shared memory through a worker-owned
-:class:`~repro.experiments.cache.SharedTablePublisher`; with
-``jobs > 1`` the worker's own process-pool children attach by name, so
-a table crosses the network once per machine and the machine's RAM
-once, total.  If shared memory is unavailable the worker degrades to
-preloading its in-process caches — slower with many local jobs, never
-wrong.
+The fetched tables are the run's planned tables, the ones ``--jobs``
+publishes.  The worker publishes them into *local* shared memory through
+its own :class:`~repro.experiments.cache.SharedTablePublisher` and runs
+every point with their handles in ``config.shared_tables``: inline
+evaluation and the worker's own process-pool children adopt them as
+pool children of a local run do, so a table crosses the network once
+per worker and the machine's RAM once.  If shared memory is unavailable
+the worker degrades to preloading its in-process caches — slower with
+many local jobs, never wrong.
 """
 
 from __future__ import annotations
@@ -25,18 +26,14 @@ import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from ..experiments.cache import (
     SharedTablePublisher,
     deserialize_table,
     shared_cache,
 )
-from ..experiments.orchestrator import (
-    ExperimentConfig,
-    _worker_cache,
-    shared_table_keys,
-)
+from ..experiments.orchestrator import ExperimentConfig, _worker_cache
 from ..specs import (
     evaluate_payload,
     expand_payload_at,
@@ -87,8 +84,8 @@ class WorkerClient:
         Local evaluation processes.  ``1`` evaluates inline; ``n > 1``
         keeps up to ``n`` leases in flight through a process pool.
     cache_dir:
-        On-disk DP cache directory for locally solved tables (tables
-        from the table service never touch it — they arrive solved).
+        On-disk DP cache directory for tables solved here (tables from the
+        table service never touch it — they arrive solved).
     connect_retry_for:
         Seconds to tolerate connection refusal at startup (workers often
         race their coordinator's bind).
@@ -110,9 +107,6 @@ class WorkerClient:
         self._lost_leases: Set[str] = set()
         self._lease_lock = threading.Lock()
         self._stop_heartbeat = threading.Event()
-        self._table_keys_have: Set[Tuple[int, int, int, str]] = set()
-        self._table_handles: List[Any] = []
-        self._publisher: Optional[SharedTablePublisher] = None
 
     # -- lease bookkeeping (shared with the heartbeat thread) -----------
     def _hold(self, lease_id: str) -> None:
@@ -145,13 +139,19 @@ class WorkerClient:
                 self.stats.leases_lost += len(lost)
 
     # -- table service ---------------------------------------------------
-    def _ensure_tables(self, conn: Connection, point,
-                       config: ExperimentConfig) -> ExperimentConfig:
-        """Fetch and locally publish the DP tables ``point`` will need."""
-        needed = [(L, c, p, config.dp_method)
-                  for L, c, p in shared_table_keys([point], config)]
-        missing = [key for key in needed if key not in self._table_keys_have]
-        for key in missing:
+    def _fetch_tables(self, conn: Connection, keys: Sequence[Sequence],
+                      config: Optional[ExperimentConfig],
+                      publisher: SharedTablePublisher
+                      ) -> Optional[ExperimentConfig]:
+        """Fetch the run's planned DP tables once and publish them locally.
+
+        Returns ``config`` carrying the shared-memory handles, which every
+        point then adopts; tables that cannot be published go into this
+        process's caches instead.
+        """
+        handles = []
+        for raw in keys:
+            key = (int(raw[0]), int(raw[1]), int(raw[2]), str(raw[3]))
             reply, blob = conn.request({"type": "table", "key": list(key)})
             check_error(reply)
             digest = hashlib.sha256(blob).hexdigest()
@@ -163,20 +163,15 @@ class WorkerClient:
             self.stats.tables_fetched += 1
             self.stats.table_bytes_received += len(blob)
             try:
-                if self._publisher is None:
-                    self._publisher = SharedTablePublisher()
-                handle = self._publisher.publish(table, method=key[3])
-                self._table_handles.append(handle)
+                handles.append(publisher.publish(table, method=key[3]))
             except OSError:
                 # No shared memory here: preload this process's caches so
                 # inline evaluation still never re-solves; pool children
                 # fall back to solving locally (slower, never wrong).
                 _worker_cache(config.cache_dir).preload(table, method=key[3])
                 shared_cache().preload(table, method=key[3])
-            self._table_keys_have.add(key)
-        if self._table_handles:
-            return replace(config,
-                           shared_tables=tuple(self._table_handles))
+        if handles:
+            return replace(config, shared_tables=tuple(handles))
         return config
 
     # -- main loop -------------------------------------------------------
@@ -187,6 +182,7 @@ class WorkerClient:
                        retry_for=self._connect_retry_for)
         heartbeat: Optional[threading.Thread] = None
         pool: Optional[ProcessPoolExecutor] = None
+        publisher = SharedTablePublisher()
         try:
             hello = {"type": "hello", "protocol": PROTOCOL_VERSION,
                      "worker_id": self.stats.worker_id}
@@ -198,7 +194,9 @@ class WorkerClient:
                     else parse_spec(welcome["spec"],
                                     source=f"coordinator:{welcome['run_id']}"))
             ttl = float(welcome.get("lease_ttl", 60.0))
-            config = payload_config(spec, cache_dir=self._cache_dir)
+            config = self._fetch_tables(
+                conn, welcome.get("tables", ()),
+                payload_config(spec, cache_dir=self._cache_dir), publisher)
 
             self._stop_heartbeat.clear()
             heartbeat = threading.Thread(
@@ -224,9 +222,7 @@ class WorkerClient:
                 heartbeat.join(timeout=5.0)
             if pool is not None:
                 pool.shutdown(wait=False)
-            if self._publisher is not None:
-                self._publisher.close()
-                self._publisher = None
+            publisher.close()
             conn.close()
 
     def _lease(self, conn: Connection) -> Optional[Dict[str, Any]]:
@@ -245,8 +241,8 @@ class WorkerClient:
                 return None
             time.sleep(float(reply.get("retry_after", 0.2)))
 
-    def _expand(self, spec, config: ExperimentConfig,
-                grant: Dict[str, Any], conn: Connection):
+    def _expand(self, spec, config: Optional[ExperimentConfig],
+                grant: Dict[str, Any]):
         """Materialise the granted point's payload, digest-verified."""
         index = int(grant["index"])
         payload = expand_payload_at(spec, index, config=config)
@@ -257,10 +253,6 @@ class WorkerClient:
                 "coordinator's manifest and this worker's grid expansion "
                 "disagree — refusing to compute (version skew between "
                 "coordinator and worker?)")
-        if isinstance(payload, tuple):
-            point, point_config = payload
-            point_config = self._ensure_tables(conn, point, point_config)
-            payload = (point, point_config)
         return payload
 
     def _submit_result(self, conn: Connection, index: int, lease_id: str,
@@ -289,7 +281,7 @@ class WorkerClient:
             grant = self._lease(conn)
             if grant is None:
                 return
-            payload = self._expand(spec, config, grant, conn)
+            payload = self._expand(spec, config, grant)
             self._submit_result(conn, int(grant["index"]),
                                 str(grant["lease_id"]),
                                 evaluate_payload(payload))
@@ -305,7 +297,7 @@ class WorkerClient:
                 if grant is None:
                     draining = True
                     break
-                payload = self._expand(spec, config, grant, conn)
+                payload = self._expand(spec, config, grant)
                 future = pool.submit(evaluate_payload, payload)
                 futures[future] = (int(grant["index"]),
                                    str(grant["lease_id"]))

@@ -8,11 +8,11 @@ here keeps solved tables at hand, so a key already held by one of its
 levels is never solved again:
 
 * **Level 1 — in-process LRU.**  An ``OrderedDict`` of the most recently
-  used tables, keyed by the exact ``(max_lifespan, setup_cost,
-  max_interrupts, method)`` tuple.  A *covering* lookup is also supported:
-  a cached table with the same ``(setup_cost, method)`` but a larger
-  lifespan/interrupt range answers requests for any smaller range, because
-  the DP over a lifespan prefix is independent of ``L_max``.
+  used tables, each under its own ``(max_lifespan, setup_cost,
+  max_interrupts, method)`` key.  Lookups are *covering*: a cached table
+  with the same ``(setup_cost, method)`` and a lifespan/interrupt range at
+  least as large answers the request, because the DP over a lifespan
+  prefix is independent of ``L_max``.
 * **Level 2 — on-disk ``.npz`` store.**  Compressed NumPy archives under a
   cache directory, one file per key, written atomically (temp file +
   ``os.replace``) so concurrent sweep workers sharing the directory never
@@ -34,12 +34,16 @@ levels is never solved again:
   worker's :class:`DPTableCache` memory level, which keeps every lookup
   path (including covering lookups) unchanged.
 
-The orchestrator in :mod:`repro.experiments.orchestrator` solves a sweep's
-tables before its first point — usually one covering table per setup
-cost, see :func:`~repro.experiments.orchestrator.plan_table_keys` — and
-every point is then a covering lookup.  Each worker process keeps its own
-memory level; only with a ``cache_dir`` do tables outlive the process,
-so a later sweep whose keys a stored table covers loads it from disk.
+The orchestrator in :mod:`repro.experiments.orchestrator` solves a run's
+planned tables before its first point — usually one covering table per
+setup cost, see :func:`~repro.experiments.orchestrator.solve_table_plan`
+— and every point is then a covering lookup.  The cluster coordinator
+solves the same plan and ships each table to its workers under the
+table's own key (:func:`table_key`, :func:`serialize_table`), so a disk
+hit on a larger covering table still has one canonical blob.  Each worker
+process keeps its own memory level; only with a ``cache_dir`` do tables
+outlive the process, so a later sweep whose keys a stored table covers
+loads it from disk.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from ..dp.value import ValueTable
 
 __all__ = ["CacheStats", "DPTableCache", "cached_solve", "shared_cache",
            "configure_shared_cache", "SharedTableHandle", "PublisherStats",
-           "SharedTablePublisher", "attach_shared_table",
+           "SharedTablePublisher", "attach_shared_table", "table_key",
            "serialize_table", "deserialize_table"]
 
 #: Cache key: ``(max_lifespan, setup_cost, max_interrupts, method)``.
@@ -103,22 +107,20 @@ class DPTableCache:
         disk level (the LRU level always operates).  Created on demand.
     max_memory_entries:
         Capacity of the in-process LRU level.
-    allow_covering:
-        When ``True`` (the default) a cached table — in memory or on disk —
-        whose range covers the request (same ``setup_cost`` and ``method``,
-        lifespan and interrupt range at least as large) is returned instead
-        of solving a smaller table from scratch.
+
+    A cached table — in memory or on disk — whose range covers the
+    request (same ``setup_cost`` and ``method``, lifespan and interrupt
+    range at least as large) is returned instead of solving a smaller
+    table from scratch.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 max_memory_entries: int = 16,
-                 allow_covering: bool = True):
+                 max_memory_entries: int = 16):
         if max_memory_entries < 1:
             raise InvalidParameterError(
                 f"max_memory_entries must be >= 1, got {max_memory_entries!r}")
         self.cache_dir = cache_dir
         self.max_memory_entries = int(max_memory_entries)
-        self.allow_covering = bool(allow_covering)
         self._memory: "OrderedDict[CacheKey, ValueTable]" = OrderedDict()
         self.stats = CacheStats()
         # The run-service shares one cache across worker THREADS; the LRU
@@ -146,10 +148,7 @@ class DPTableCache:
             if table is not None:
                 self.stats.disk_hits += 1
                 # Under the table's own key: it may be a covering one.
-                self._memory_store(self._key(table.max_lifespan,
-                                             table.setup_cost,
-                                             table.max_interrupts, key[3]),
-                                   table)
+                self._memory_store(table_key(table, key[3]), table)
                 return table
 
             self.stats.misses += 1
@@ -167,10 +166,8 @@ class DPTableCache:
         is served without touching disk or re-solving.  Does not count as
         a lookup in :attr:`stats`.
         """
-        key = self._key(table.max_lifespan, table.setup_cost,
-                        table.max_interrupts, method)
         with self._lock:
-            self._memory_store(key, table)
+            self._memory_store(table_key(table, method), table)
 
     def clear(self, *, memory: bool = True, disk: bool = False) -> None:
         """Drop cached tables (the disk level only when asked explicitly)."""
@@ -205,12 +202,11 @@ class DPTableCache:
         if key in self._memory:
             self._memory.move_to_end(key)
             return self._memory[key]
-        if self.allow_covering:
-            L, c, p, method = key
-            for (kL, kc, kp, kmethod), table in self._memory.items():
-                if kc == c and kmethod == method and kL >= L and kp >= p:
-                    self._memory.move_to_end((kL, kc, kp, kmethod))
-                    return table
+        L, c, p, method = key
+        for (kL, kc, kp, kmethod), table in self._memory.items():
+            if kc == c and kmethod == method and kL >= L and kp >= p:
+                self._memory.move_to_end((kL, kc, kp, kmethod))
+                return table
         return None
 
     def _memory_store(self, key: CacheKey, table: ValueTable) -> None:
@@ -233,7 +229,7 @@ class DPTableCache:
         if not self.cache_dir:
             return None
         table = self._disk_load(key)
-        if table is None and self.allow_covering:
+        if table is None:
             for covering in self._covering_disk_keys(key):
                 table = self._disk_load(covering)
                 if table is not None:
@@ -299,6 +295,12 @@ class DPTableCache:
                 os.remove(tmp_path)
             except OSError:
                 pass
+
+
+def table_key(table: ValueTable, method: str = "fast") -> CacheKey:
+    """The cache key a solved table is stored, published and shipped under."""
+    return DPTableCache._key(table.max_lifespan, table.setup_cost,
+                             table.max_interrupts, method)
 
 
 # ----------------------------------------------------------------------
@@ -407,8 +409,7 @@ class SharedTablePublisher:
         """Publish one solved table; idempotent per cache key."""
         from multiprocessing import shared_memory
 
-        key = DPTableCache._key(table.max_lifespan, table.setup_cost,
-                                table.max_interrupts, method)
+        key = table_key(table, method)
         with self._lock:
             handle = self._handles.get(key)
             if handle is not None:
@@ -512,10 +513,11 @@ def serialize_table(table: ValueTable) -> bytes:
     """Flatten a solved table to wire bytes (stacked little-endian int64).
 
     The cluster table service ships these from the coordinator to workers
-    alongside the cache key and a sha256 of the bytes: ``values`` and
-    ``first_periods`` stacked as a ``(2, p + 1, L + 1)`` array in a fixed
-    ``<i8`` byte order, so the digest is machine-independent and
-    :func:`deserialize_table` needs only the key to rebuild the table.
+    alongside the table's :func:`table_key` and a sha256 of the bytes:
+    ``values`` and ``first_periods`` stacked as a ``(2, p + 1, L + 1)``
+    array in a fixed ``<i8`` byte order, so the digest is
+    machine-independent and :func:`deserialize_table` needs only the key
+    to rebuild the table.
     """
     values = np.ascontiguousarray(table.values, dtype="<i8")
     first = np.ascontiguousarray(table.first_periods, dtype="<i8")

@@ -22,12 +22,14 @@ Three properties the tests pin down:
 2. **Serial equivalence.**  ``jobs=1`` runs everything in-process (no pool,
    easier debugging, identical rows).
 3. **One DP table per setup cost.**  Before the first point the sweep
-   solves the tables :func:`plan_table_keys` picks for the whole sweep —
-   one covering ``(max L, c, max p)`` table per setup cost where that is
-   smaller than the tables it replaces — and covering lookups answer
-   every point from them: in-process for ``jobs=1``, through shared
-   memory for ``jobs > 1``.  With ``cache_dir`` a later sweep that needs
-   the same tables loads them from disk instead of solving them.
+   solves the tables :func:`plan_table_keys` picks for the whole sweep
+   (:func:`solve_table_plan`) — one covering ``(max L, c, max p)`` table
+   per setup cost where that is smaller than the tables it replaces — and
+   covering lookups answer every point from them: in-process for
+   ``jobs=1``, through shared memory for ``jobs > 1``, and over the wire
+   then through shared memory on a cluster worker.  With ``cache_dir`` a
+   later sweep that needs the same tables loads them from disk instead of
+   solving them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.gap import measure_guaranteed_work
+from ..dp.value import ValueTable
 from .cache import (
     DPTableCache,
     SharedTableHandle,
@@ -53,7 +56,7 @@ from .profiling import aggregate_profiles, pop_profile, render_profile, stage_co
 
 __all__ = ["ExperimentConfig", "run_sweep", "execute_points", "parallel_map",
            "publish_shared_tables", "shared_table_keys", "plan_table_keys",
-           "presolve_tables"]
+           "solve_table_plan", "presolve_tables"]
 
 
 @dataclass(frozen=True)
@@ -188,12 +191,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 def shared_table_keys(points: Sequence[SweepPoint],
                       config: ExperimentConfig) -> List[Tuple[int, int, int]]:
-    """Distinct integer DP ``(L, c, p)`` keys the worker fleet will need.
+    """Distinct integer DP ``(L, c, p)`` keys the points will look up.
 
-    Public because the distributed executor asks the same question per
-    leased point: which tables must be fetched from the coordinator's
-    table service before this point can be evaluated locally.  Sorted for
-    deterministic publish order.
+    These are the points that need a table: every integer-valued point
+    with the optimal column on, and every ``dp-optimal`` scheduler point.
+    Sorted for a deterministic plan.
     """
     keys: Set[Tuple[int, int, int]] = set()
     for point in points:
@@ -232,6 +234,25 @@ def plan_table_keys(keys: Sequence[Tuple[int, int, int]]
     return sorted(plan)
 
 
+def solve_table_plan(points: Sequence[SweepPoint], config: ExperimentConfig,
+                     cache: DPTableCache, *,
+                     max_tables: Optional[int] = None) -> List[ValueTable]:
+    """Solve the DP tables that answer every point of ``points``.
+
+    The plan is :func:`plan_table_keys` over :func:`shared_table_keys`,
+    solved through ``cache`` in plan order; a table may come from disk,
+    and a disk hit may be a larger covering table.  This is the one place
+    a run's tables are solved: :func:`presolve_tables`,
+    :func:`publish_shared_tables` and the cluster coordinator all call it.
+    A plan of more than ``max_tables`` tables is not solved at all (an
+    empty list).
+    """
+    keys = plan_table_keys(shared_table_keys(points, config))
+    if max_tables is not None and len(keys) > max_tables:
+        return []
+    return [cache.solve(L, c, p, method=config.dp_method) for L, c, p in keys]
+
+
 def presolve_tables(points: Sequence[SweepPoint],
                     config: ExperimentConfig) -> None:
     """Solve a serial sweep's planned DP tables before its first point.
@@ -243,13 +264,10 @@ def presolve_tables(points: Sequence[SweepPoint],
     otherwise evict tables before using them.
     """
     cache = _worker_cache(config.cache_dir)
-    keys = plan_table_keys(shared_table_keys(points, config))
-    if len(keys) > cache.max_memory_entries:
-        return
-    dp_optimal = any(point.scheduler == "dp-optimal" for point in points)
-    for L, c, p in keys:
-        table = cache.solve(L, c, p, method=config.dp_method)
-        if dp_optimal:
+    tables = solve_table_plan(points, config, cache,
+                              max_tables=cache.max_memory_entries)
+    if any(point.scheduler == "dp-optimal" for point in points):
+        for table in tables:
             shared_cache().preload(table, method=config.dp_method)
 
 
@@ -262,12 +280,10 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     """Solve the sweep's planned DP tables and publish them to shared memory.
 
     Called by the driver before fanning points out to worker processes:
-    the integer ``(L, c, p)`` keys the grid needs — for the optimal column
-    or a ``dp-optimal`` scheduler point — are merged by
-    :func:`plan_table_keys` (usually one covering table per setup cost),
-    solved in this process (through ``cache``, so disk levels still help)
-    and each copied into one shared-memory block; workers answer every
-    point's key from them by covering lookups.  Returns the publisher
+    the tables :func:`solve_table_plan` picks (usually one covering table
+    per setup cost) are solved in this process (through ``cache``, so disk
+    levels still help) and each copied into one shared-memory block;
+    workers answer every point's key from them by covering lookups.  Returns the publisher
     (close it in a ``finally``; ``None`` when there is nothing to share)
     and the config carrying the attach-by-name handles for the workers.
 
@@ -281,18 +297,15 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     sweep falls back to per-worker solving — slower and per-worker RSS
     grows again, but results are identical.
     """
-    keys = plan_table_keys(shared_table_keys(points, config))
-    if not keys:
-        return None, config
     cache = cache if cache is not None else DPTableCache(cache_dir=config.cache_dir)
+    tables = solve_table_plan(points, config, cache)
+    if not tables:
+        return None, config
     owned = publisher is None
     pub = SharedTablePublisher() if owned else publisher
-    handles: List[SharedTableHandle] = []
     try:
-        for L, c, p in keys:
-            handles.append(
-                pub.publish(cache.solve(L, c, p, method=config.dp_method),
-                            method=config.dp_method))
+        handles = [pub.publish(table, method=config.dp_method)
+                   for table in tables]
     except OSError:
         if owned:
             pub.close()

@@ -36,18 +36,24 @@ from repro.distributed.protocol import (
     resolve_bind,
     send_frame,
 )
+from repro.dp import solve
+from repro.experiments.cache import DPTableCache, serialize_table
+from repro.experiments.orchestrator import plan_table_keys, shared_table_keys
 from repro.runstore import RunStore, row_to_shard_bytes, run_spec
 from repro.specs import (
     default_run_id,
     evaluate_payload,
     expand_payload_at,
+    expand_payloads,
     parse_spec,
+    payload_config,
     spec_digest,
     spec_to_dict,
 )
 
 # 64 analytic points (4 lifespans x 2 costs x 2 budgets x 4 schedulers),
-# DP optimum on — 16 distinct (L, c, p) table keys exercised cluster-wide.
+# DP optimum on — 16 distinct (L, c, p) keys, planned as one covering
+# table per setup cost.
 SWEEP_64_SPEC = {
     "experiment": {"name": "dist-64", "kind": "sweep", "seed": 0,
                    "replications": 0},
@@ -64,6 +70,16 @@ TINY_SPEC = {
                    "replications": 0},
     "sweep": {"lifespans": [40.0, 50.0], "setup_costs": [1.0],
               "interrupts": [1], "schedulers": ["equalizing-adaptive"]},
+}
+
+# Eight analytic points with the DP optimum (grid order: cost, budget,
+# lifespan), planned as one covering table per setup cost, (80, c, 2).
+TABLE_SPEC = {
+    "experiment": {"name": "dist-tables", "kind": "sweep", "seed": 0,
+                   "replications": 0},
+    "sweep": {"lifespans": [60.0, 80.0], "setup_costs": [1.0, 2.0],
+              "interrupts": [1, 2], "schedulers": ["equalizing-adaptive"],
+              "optimal": True},
 }
 
 # Four Monte-Carlo points for the worker-death test (the point delay
@@ -95,6 +111,15 @@ def run_tree(run):
                 digest = hashlib.sha256(handle.read()).hexdigest()
             out[os.path.relpath(path, run.root)] = digest
     return out
+
+
+def planned_tables(spec, pending=None):
+    """The run's table plan re-derived from the spec, as ``welcome`` lists it."""
+    points = [point for point, _config in expand_payloads(spec)]
+    if pending is not None:
+        points = [points[i] for i in pending]
+    keys = plan_table_keys(shared_table_keys(points, payload_config(spec)))
+    return [[L, c, p, "fast"] for L, c, p in keys]
 
 
 def handshake(coordinator, *, worker_id="raw", digest=None,
@@ -232,7 +257,7 @@ class TestPointLedger:
 class TestByteIdentity:
     def test_cluster_of_two_matches_jobs_two(self, tmp_path):
         """The acceptance bar: 64 points, 2 loopback workers, identical
-        manifest + shards + columns.npz, exactly one DP solve per key."""
+        manifest + shards + columns.npz, one DP solve per planned table."""
         spec = parse_spec(SWEEP_64_SPEC)
         metrics = {}
         cluster = run_spec_distributed(spec, runs_dir=tmp_path / "cluster",
@@ -243,9 +268,13 @@ class TestByteIdentity:
         assert run_tree(cluster) == run_tree(local)
         assert metrics["points"]["done"] == 64
         assert len(run_tree(cluster)) == 66  # manifest + 64 shards + sidecar
-        # 4 lifespans x 2 costs x 2 budgets = 16 distinct table keys; the
-        # cluster solved each exactly once no matter how workers raced.
-        assert metrics["table_service"]["dp_solves"] == 16
+        # 16 distinct (L, c, p) keys, planned as one covering table per
+        # setup cost: the cluster solves what run_spec(jobs=2) solves, and
+        # each worker fetches each table once.
+        plan = planned_tables(spec)
+        assert len(plan) == 2
+        assert metrics["table_service"]["dp_solves"] == len(plan)
+        assert metrics["table_service"]["requests"] == 2 * len(plan)
         assert metrics["shards"]["duplicates_rejected"] == 0
         assert metrics["workers"]["seen"] == 2
 
@@ -440,40 +469,113 @@ class TestLeaseProtocolEdgeCases:
 
 
 class TestTableService:
-    def test_exactly_one_solve_per_key_across_workers(self, tmp_path):
-        spec = parse_spec(SWEEP_64_SPEC)
-        coordinator = Coordinator(spec, runs_dir=tmp_path / "runs",
-                                  lease_ttl=30.0)
+    def test_welcome_lists_exactly_the_plan(self, tmp_path):
+        spec = parse_spec(TABLE_SPEC)
+        coordinator = Coordinator(spec, runs_dir=tmp_path / "runs")
         coordinator.start()
         try:
-            key = [60, 1, 2, "fast"]
-            conns = [handshake(coordinator, worker_id=f"w{i}")[0]
-                     for i in range(2)]
-            blobs = []
-            for conn in conns:
+            conn, welcome = handshake(coordinator)
+            assert welcome["tables"] == planned_tables(spec) \
+                == [[80, 1, 2, "fast"], [80, 2, 2, "fast"]]
+            assert coordinator.metrics_snapshot()["table_service"][
+                "dp_solves"] == 2
+            conn.close()
+        finally:
+            coordinator.stop()
+
+    def test_one_solve_serves_every_connection(self, tmp_path):
+        spec = parse_spec(dict(TABLE_SPEC, sweep=dict(TABLE_SPEC["sweep"],
+                                                      setup_costs=[1.0])))
+        coordinator = Coordinator(spec, runs_dir=tmp_path / "runs")
+        coordinator.start()
+        try:
+            conns, blobs = [], []
+            for i in range(2):
+                conn, welcome = handshake(coordinator, worker_id=f"w{i}")
+                (key,) = welcome["tables"]
                 reply, blob = conn.request({"type": "table", "key": key})
-                assert reply["type"] == "table"
-                assert hashlib.sha256(blob).hexdigest() == reply["sha256"]
+                assert reply == {"type": "table", "key": key,
+                                 "sha256": hashlib.sha256(blob).hexdigest(),
+                                 "blob_len": len(blob)}
+                conns.append(conn)
                 blobs.append(blob)
-            assert blobs[0] == blobs[1]
-            snapshot = coordinator.metrics_snapshot()
-            assert snapshot["table_service"]["requests"] == 2
-            assert snapshot["table_service"]["misses"] == 1
-            assert snapshot["table_service"]["hits"] == 1
-            assert snapshot["table_service"]["dp_solves"] == 1
+            assert blobs[0] == blobs[1] == serialize_table(solve(80, 1, 2))
+            tables = coordinator.metrics_snapshot()["table_service"]
+            assert tables == {"requests": 2, "dp_solves": 1,
+                              "bytes_streamed": 2 * len(blobs[0])}
             for conn in conns:
                 conn.close()
         finally:
             coordinator.stop()
 
-    def test_malformed_table_key_is_a_soft_error(self, tiny_coordinator):
-        conn, _ = handshake(tiny_coordinator)
-        reply, _ = conn.request({"type": "table", "key": ["x", 1]})
-        assert reply["type"] == "error" and not reply["fatal"]
-        # The connection survives a soft error: a lease still works.
-        grant, _ = conn.request({"type": "lease", "worker_id": "raw"})
-        assert grant["type"] == "grant"
-        conn.close()
+    @pytest.mark.parametrize("key", [[60, 1, 2, "fast"], ["x", 1], None])
+    def test_unplanned_table_is_a_soft_error(self, tmp_path, key):
+        coordinator = Coordinator(parse_spec(TABLE_SPEC),
+                                  runs_dir=tmp_path / "runs")
+        coordinator.start()
+        try:
+            conn, _ = handshake(coordinator)
+            reply, blob = conn.request({"type": "table", "key": key})
+            assert reply["type"] == "error" and not reply["fatal"]
+            assert "planned tables" in reply["message"] and blob == b""
+            # The connection survives a soft error: a lease still works.
+            grant, _ = conn.request({"type": "lease", "worker_id": "raw"})
+            assert grant["type"] == "grant"
+            assert coordinator.metrics_snapshot()["table_service"][
+                "requests"] == 0
+            conn.close()
+        finally:
+            coordinator.stop()
+
+    def test_resumed_coordinator_plans_only_pending_points(self, tmp_path):
+        spec = parse_spec(TABLE_SPEC)
+        run_spec(spec, runs_dir=tmp_path / "runs", max_points=4)  # c = 1
+        coordinator = Coordinator(spec, runs_dir=tmp_path / "runs",
+                                  resume=True)
+        coordinator.start()
+        try:
+            conn, welcome = handshake(coordinator)
+            assert welcome["tables"] == planned_tables(spec, range(4, 8)) \
+                == [[80, 2, 2, "fast"]]
+            assert coordinator.metrics_snapshot()["table_service"][
+                "dp_solves"] == 1
+            conn.close()
+        finally:
+            coordinator.stop()
+
+    def test_covering_table_on_disk_is_listed_under_its_own_key(
+            self, tmp_path):
+        cache_dir = str(tmp_path / "dp")
+        DPTableCache(cache_dir=cache_dir).solve(200, 1, 3)
+        spec = parse_spec(dict(TABLE_SPEC, sweep=dict(TABLE_SPEC["sweep"],
+                                                      setup_costs=[1.0])))
+        coordinator = Coordinator(spec, runs_dir=tmp_path / "cluster",
+                                  lease_ttl=30.0, cache_dir=cache_dir)
+        coordinator.start()
+        worker = None
+        try:
+            conn, welcome = handshake(coordinator)
+            assert welcome["tables"] == [[200, 1, 3, "fast"]]
+            reply, blob = conn.request({"type": "table",
+                                        "key": [200, 1, 3, "fast"]})
+            assert blob == serialize_table(solve(200, 1, 3))
+            conn.close()
+            host, port = coordinator.address
+            worker = multiprocessing.get_context("spawn").Process(
+                target=_worker_entry,
+                args=(host, port, spec_to_dict(spec), "w0", 1, None),
+                daemon=True)
+            worker.start()
+            assert coordinator.wait(timeout=120.0), (
+                f"cluster never converged: {coordinator.ledger.counts()}")
+        finally:
+            coordinator.stop()
+            if worker is not None:
+                worker.join(timeout=10.0)
+        assert coordinator.metrics_snapshot()["table_service"][
+            "dp_solves"] == 0
+        local = run_spec(spec, runs_dir=tmp_path / "local", jobs=2)
+        assert run_tree(coordinator.run) == run_tree(local)
 
 
 class TestMetricsEndpoint:

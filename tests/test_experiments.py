@@ -248,12 +248,6 @@ class TestDPTableCache:
         assert small is big
         assert cache.stats.memory_hits == 1
 
-    def test_covering_can_be_disabled(self):
-        cache = DPTableCache(allow_covering=False)
-        cache.solve(100, 1, 3)
-        cache.solve(50, 1, 2)
-        assert cache.stats.misses == 2
-
     def test_different_keys_miss(self):
         cache = DPTableCache()
         cache.solve(60, 1, 1)
@@ -275,8 +269,9 @@ class TestDPTableCache:
 
     def test_disk_covering_lookup(self, tmp_path):
         cache_dir = str(tmp_path / "dp")
+        # (90, 1, 2) first: stored after it, (120, 1, 3) would answer it.
+        DPTableCache(cache_dir=cache_dir).solve(90, 1, 2)
         DPTableCache(cache_dir=cache_dir).solve(120, 1, 3)
-        DPTableCache(cache_dir=cache_dir, allow_covering=False).solve(90, 1, 2)
         # The smallest stored table that covers the request answers it.
         cache = DPTableCache(cache_dir=cache_dir)
         table = cache.solve(80, 1, 2)
@@ -294,14 +289,6 @@ class TestDPTableCache:
         cache.solve(130, 1, 2)
         assert cache.stats.misses == 2
 
-    def test_disk_covering_can_be_disabled(self, tmp_path):
-        cache_dir = str(tmp_path / "dp")
-        DPTableCache(cache_dir=cache_dir).solve(120, 1, 3)
-        cache = DPTableCache(cache_dir=cache_dir, allow_covering=False)
-        table = cache.solve(80, 1, 2)
-        assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
-        assert table.values.shape == (3, 81)
-
     def test_corrupt_disk_file_is_recomputed(self, tmp_path):
         cache_dir = str(tmp_path / "dp")
         DPTableCache(cache_dir=cache_dir).solve(40, 1, 1)
@@ -318,10 +305,10 @@ class TestDPTableCache:
         assert fresh.stats.disk_hits == 1
 
     def test_lru_eviction(self):
-        cache = DPTableCache(max_memory_entries=2, allow_covering=False)
-        cache.solve(30, 1, 1)
-        cache.solve(31, 1, 1)
-        cache.solve(32, 1, 1)
+        cache = DPTableCache(max_memory_entries=2)
+        cache.solve(30, 1, 1)  # three setup costs: no table covers another
+        cache.solve(30, 2, 1)
+        cache.solve(30, 3, 1)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         cache.solve(30, 1, 1)  # evicted -> miss again (no disk level)
