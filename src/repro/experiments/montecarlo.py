@@ -61,7 +61,7 @@ strictly sequential with a fixed internal batch size).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -192,48 +192,85 @@ def aggregate(values: Sequence[float], prefix: str) -> Dict[str, float]:
     return out
 
 
-def _chunk_ranges(replications: int, chunk: int) -> Iterator[Tuple[int, int]]:
-    """Half-open ``[start, stop)`` replication ranges covering the stream."""
-    for start in range(0, replications, chunk):
-        yield start, min(start + chunk, replications)
+def _replicate(play: Callable[[int, int], Sequence[List[float]]],
+               replications: int, names: Sequence[str],
+               stratified: Sequence[str], *, backend: str, aggregation: str,
+               chunk_size: Optional[int], variance: str,
+               profile: Optional[Dict[str, float]]) -> Dict[str, Any]:
+    """The replication driver behind :func:`replicate_point` and
+    :func:`replicate_scenario`.
 
-
-def _record_chunk(profile: Optional[Dict[str, float]], seconds: float) -> None:
-    """Per-chunk stage accounting for ``--profile`` (see profiling module)."""
-    if profile is None:
-        return
-    profile["mc_chunks"] = profile.get("mc_chunks", 0.0) + 1.0
-    profile["mc_chunk_s_max"] = max(profile.get("mc_chunk_s_max", 0.0),
-                                    float(seconds))
-
-
-def _make_cis(variance: str, names: Sequence[str],
-              stratified: Sequence[str]) -> Optional[Dict[str, CiAccumulator]]:
-    """One CI accumulator per statistic, or ``None`` under ``variance="none"``.
-
-    Under ``"stratified"``, only the statistics in ``stratified`` get the
-    post-stratified standard error — statistics that are functions of the
-    stratum variable itself (interrupt/episode counts) keep the plain
-    i.i.d. one, which is what their CI should be.
+    ``play(start, stop)`` plays replications ``[start, stop)`` and returns
+    one list of per-replication values per statistic of ``names``, in that
+    order; ``names`` includes ``"interrupts"``, the stratum variable.
+    Exact aggregation plays every replication at once; streaming plays
+    fixed-size chunks into the online accumulators.  Under
+    ``variance="stratified"`` only the statistics in ``stratified`` get
+    the post-stratified standard error — statistics that are functions of
+    the stratum variable itself (interrupt/episode counts) keep the plain
+    i.i.d. one, which is what their CI should be.  ``profile`` receives
+    the per-chunk stage accounting of ``--profile`` (see the profiling
+    module).
     """
-    if variance == "none":
-        return None
-    return {name: CiAccumulator(variance if variance != "stratified"
-                                or name in stratified else "none")
-            for name in names}
 
+    def record_chunk(started: float) -> None:
+        if profile is not None:
+            profile["mc_chunks"] = profile.get("mc_chunks", 0.0) + 1.0
+            profile["mc_chunk_s_max"] = max(profile.get("mc_chunk_s_max", 0.0),
+                                            time.perf_counter() - started)
 
-def _chunk_context(exc: ValueError, index: int, start: int,
-                   stop: int) -> ValueError:
-    """Annotate an aggregation error with its chunk's identity.
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications!r}")
+    _check_backend(backend)
+    resolve_variance(variance, int(replications))
+    mode = resolve_aggregation(aggregation, int(replications))
+    cis = None
+    if variance != "none":
+        cis = {name: CiAccumulator(variance if variance != "stratified"
+                                   or name in stratified else "none")
+               for name in names}
+    row: Dict[str, Any] = {}
+    if mode == "exact":
+        started = time.perf_counter()
+        values = dict(zip(names, play(0, int(replications))))
+        record_chunk(started)
+        for name in names:
+            row.update(aggregate(values[name], name))
+        if cis is not None:
+            for name, ci in cis.items():
+                ci.extend(values[name], values["interrupts"]
+                          if name in stratified else None)
+            for name, ci in cis.items():
+                row.update(ci.columns(name))
+            row["variance"] = variance
+        row["quantile_method"] = "exact"
+        return row
 
-    The streaming accumulators already report the absolute replication
-    index of the first offending value; adding the chunk ordinal and its
-    ``[start, stop)`` replication range makes a bad replication in a
-    10^6-point run findable (re-run just that chunk's range).
-    """
-    return ValueError(f"{exc} [while aggregating chunk {index}, "
-                      f"replications [{start}, {stop})]")
+    chunk = resolve_chunk_size(chunk_size, int(replications))
+    aggregators = {name: StreamingAggregator(
+                       name, QUANTILES, ci=None if cis is None else cis[name])
+                   for name in names}
+    for index, start in enumerate(range(0, int(replications), chunk)):
+        stop = min(start + chunk, int(replications))
+        started = time.perf_counter()
+        values = dict(zip(names, play(start, stop)))
+        try:
+            for name, aggregator in aggregators.items():
+                aggregator.extend(values[name], values["interrupts"]
+                                  if name in stratified else None)
+        except ValueError as exc:
+            # The accumulators report the absolute replication index of
+            # the first offending value; the chunk ordinal and range make
+            # a bad replication in a 10^6-point run findable.
+            raise ValueError(f"{exc} [while aggregating chunk {index}, "
+                             f"replications [{start}, {stop})]") from exc
+        record_chunk(started)
+    for name, aggregator in aggregators.items():
+        row.update(aggregator.summary(name))
+    if variance != "none":
+        row["variance"] = variance
+    row["quantile_method"] = "p2"
+    return row
 
 
 def replicate_point(point: SweepPoint, replications: int,
@@ -267,84 +304,37 @@ def replicate_point(point: SweepPoint, replications: int,
     """
     if point.adversary is None:
         raise ValueError(f"point {point.index} has no adversary to sample")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
-    _check_backend(backend)
-    resolve_variance(variance, int(replications))
-    mode = resolve_aggregation(aggregation, int(replications))
     params = point.params()
     scheduler = make_scheduler(point.scheduler, params)
     adaptive = hasattr(scheduler, "episode_schedule")
 
-    def play_range(start: int, stop: int):
+    def play(start: int, stop: int):
         if backend == "batch" and adaptive:
-            return _play_point_batch(point, scheduler, start, stop, base_seed,
-                                     variance)
-        if backend == "batch":
-            return _play_point_nonadaptive_batch(point, scheduler, start,
-                                                 stop, base_seed, variance)
-        works: List[float] = []
-        interrupts: List[float] = []
-        episodes: List[float] = []
-        for r in range(start, stop):
-            seed = replication_seed(base_seed, point.index, r, variance)
-            adversary = make_adversary(point.adversary, params, seed=seed)
-            if adaptive:
-                result = play_adaptive(scheduler, adversary, params)
-            else:
-                result = play_nonadaptive(scheduler, adversary, params)
-            works.append(result.total_work)
-            interrupts.append(float(result.num_interrupts))
-            episodes.append(float(result.num_episodes))
-        return works, interrupts, episodes
+            works, interrupts, episodes = _play_point_batch(
+                point, scheduler, start, stop, base_seed, variance)
+        elif backend == "batch":
+            works, interrupts, episodes = _play_point_nonadaptive_batch(
+                point, scheduler, start, stop, base_seed, variance)
+        else:
+            works, interrupts, episodes = [], [], []
+            for r in range(start, stop):
+                seed = replication_seed(base_seed, point.index, r, variance)
+                adversary = make_adversary(point.adversary, params, seed=seed)
+                if adaptive:
+                    result = play_adaptive(scheduler, adversary, params)
+                else:
+                    result = play_nonadaptive(scheduler, adversary, params)
+                works.append(result.total_work)
+                interrupts.append(float(result.num_interrupts))
+                episodes.append(float(result.num_episodes))
+        return (works, [w / params.lifespan for w in works], interrupts,
+                episodes)
 
-    cis = _make_cis(variance, ("work", "efficiency", "interrupts",
-                               "episodes"), ("work", "efficiency"))
-    row: Dict[str, float] = {}
-    if mode == "exact":
-        started = time.perf_counter()
-        works, interrupts, episodes = play_range(0, int(replications))
-        _record_chunk(profile, time.perf_counter() - started)
-        efficiencies = [w / params.lifespan for w in works]
-        row.update(aggregate(works, "work"))
-        row.update(aggregate(efficiencies, "efficiency"))
-        row.update(aggregate(interrupts, "interrupts"))
-        row.update(aggregate(episodes, "episodes"))
-        if cis is not None:
-            cis["work"].extend(works, interrupts)
-            cis["efficiency"].extend(efficiencies, interrupts)
-            cis["interrupts"].extend(interrupts)
-            cis["episodes"].extend(episodes)
-            for name, ci in cis.items():
-                row.update(ci.columns(name))
-            row["variance"] = variance
-        row["quantile_method"] = "exact"
-        return row
-
-    chunk = resolve_chunk_size(chunk_size, int(replications))
-    aggregators = {name: StreamingAggregator(
-                       name, QUANTILES, ci=None if cis is None else cis[name])
-                   for name in ("work", "efficiency", "interrupts",
-                                "episodes")}
-    for index, (start, stop) in enumerate(_chunk_ranges(int(replications),
-                                                        chunk)):
-        started = time.perf_counter()
-        works, interrupts, episodes = play_range(start, stop)
-        try:
-            aggregators["work"].extend(works, interrupts)
-            aggregators["efficiency"].extend(
-                [w / params.lifespan for w in works], interrupts)
-            aggregators["interrupts"].extend(interrupts)
-            aggregators["episodes"].extend(episodes)
-        except ValueError as exc:
-            raise _chunk_context(exc, index, start, stop) from exc
-        _record_chunk(profile, time.perf_counter() - started)
-    for name, aggregator in aggregators.items():
-        row.update(aggregator.summary(name))
-    if variance != "none":
-        row["variance"] = variance
-    row["quantile_method"] = "p2"
-    return row
+    return _replicate(play, replications,
+                      ("work", "efficiency", "interrupts", "episodes"),
+                      ("work", "efficiency"), backend=backend,
+                      aggregation=aggregation, chunk_size=chunk_size,
+                      variance=variance, profile=profile)
 
 
 def _ranks(order: np.ndarray) -> np.ndarray:
@@ -638,12 +628,6 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
     """
     from ..simulator import CycleStealingSimulation
 
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
-    _check_backend(backend)
-    resolve_variance(variance, int(replications))
-    mode = resolve_aggregation(aggregation, int(replications))
-
     # Stable label for seeding and reporting.  Never fall back to repr():
     # it embeds the object's memory address, which would break the
     # bit-identical determinism this module promises (e.g. for
@@ -656,7 +640,7 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
         from ..schedules import EqualizingAdaptiveScheduler
         return EqualizingAdaptiveScheduler()
 
-    def simulate_range(start: int, stop: int) -> List:
+    def play(start: int, stop: int):
         if backend == "batch":
             from ..simulator.batch import simulate_scenarios_batch
 
@@ -667,67 +651,30 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
             run_scheduler = scheduler
             if scheduler is None and scheduler_factory is None:
                 run_scheduler = default_scheduler()
-            return simulate_scenarios_batch(
+            reports = simulate_scenarios_batch(
                 scenarios, run_scheduler, scheduler_factory=scheduler_factory)
-        reports = []
-        for r in range(start, stop):
-            scenario = family(seed=replication_seed(base_seed, family_label,
-                                                    r, variance),
-                              **family_kwargs)
-            if scheduler is None and scheduler_factory is None:
-                run_scheduler = default_scheduler()
-            else:
-                run_scheduler = scheduler
-            sim = CycleStealingSimulation(scenario.workstations, run_scheduler,
-                                          task_bag=scenario.task_bag,
-                                          scheduler_factory=scheduler_factory)
-            reports.append(sim.run())
-        return reports
+        else:
+            reports = []
+            for r in range(start, stop):
+                scenario = family(seed=replication_seed(base_seed,
+                                                        family_label, r,
+                                                        variance),
+                                  **family_kwargs)
+                if scheduler is None and scheduler_factory is None:
+                    run_scheduler = default_scheduler()
+                else:
+                    run_scheduler = scheduler
+                sim = CycleStealingSimulation(
+                    scenario.workstations, run_scheduler,
+                    task_bag=scenario.task_bag,
+                    scheduler_factory=scheduler_factory)
+                reports.append(sim.run())
+        return ([report.total_work for report in reports],
+                [float(report.total_tasks_completed) for report in reports],
+                [float(report.total_interrupts) for report in reports])
 
-    cis = _make_cis(variance, ("work", "tasks", "interrupts"),
-                    ("work", "tasks"))
-    row: Dict[str, float] = {"scenario": family_label}
-    if mode == "exact":
-        started = time.perf_counter()
-        reports = simulate_range(0, int(replications))
-        _record_chunk(profile, time.perf_counter() - started)
-        works = [report.total_work for report in reports]
-        tasks = [float(report.total_tasks_completed) for report in reports]
-        interrupts = [float(report.total_interrupts) for report in reports]
-        row.update(aggregate(works, "work"))
-        row.update(aggregate(tasks, "tasks"))
-        row.update(aggregate(interrupts, "interrupts"))
-        if cis is not None:
-            cis["work"].extend(works, interrupts)
-            cis["tasks"].extend(tasks, interrupts)
-            cis["interrupts"].extend(interrupts)
-            for name, ci in cis.items():
-                row.update(ci.columns(name))
-            row["variance"] = variance
-        row["quantile_method"] = "exact"
-        return row
-
-    chunk = resolve_chunk_size(chunk_size, int(replications))
-    aggregators = {name: StreamingAggregator(
-                       name, QUANTILES, ci=None if cis is None else cis[name])
-                   for name in ("work", "tasks", "interrupts")}
-    for index, (start, stop) in enumerate(_chunk_ranges(int(replications),
-                                                        chunk)):
-        started = time.perf_counter()
-        reports = simulate_range(start, stop)
-        works = [report.total_work for report in reports]
-        tasks = [float(report.total_tasks_completed) for report in reports]
-        interrupts = [float(report.total_interrupts) for report in reports]
-        try:
-            aggregators["work"].extend(works, interrupts)
-            aggregators["tasks"].extend(tasks, interrupts)
-            aggregators["interrupts"].extend(interrupts)
-        except ValueError as exc:
-            raise _chunk_context(exc, index, start, stop) from exc
-        _record_chunk(profile, time.perf_counter() - started)
-    for name, aggregator in aggregators.items():
-        row.update(aggregator.summary(name))
-    if variance != "none":
-        row["variance"] = variance
-    row["quantile_method"] = "p2"
-    return row
+    return {"scenario": family_label,
+            **_replicate(play, replications, ("work", "tasks", "interrupts"),
+                         ("work", "tasks"), backend=backend,
+                         aggregation=aggregation, chunk_size=chunk_size,
+                         variance=variance, profile=profile)}

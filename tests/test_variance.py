@@ -338,11 +338,21 @@ class TestNaNDiagnostics:
             agg.update(float("nan"))
 
     def test_chunk_context_wraps_streaming_errors(self):
-        from repro.experiments.montecarlo import _chunk_context
+        from repro.experiments.montecarlo import _replicate
 
-        wrapped = _chunk_context(ValueError("boom"), 3, 96, 128)
-        assert "chunk 3" in str(wrapped)
-        assert "[96, 128)" in str(wrapped)
+        def play(start, stop):  # replication 100 yields NaN work
+            reps = range(start, stop)
+            return ([float("nan") if r == 100 else 1.0 for r in reps],
+                    [0.0 for _ in reps])
+
+        with pytest.raises(ValueError) as excinfo:
+            _replicate(play, 200, ("work", "interrupts"), ("work",),
+                       backend="batch", aggregation="streaming",
+                       chunk_size=32, variance="none", profile=None)
+        message = str(excinfo.value)
+        assert "absolute replication index 100" in message
+        assert "chunk 3" in message
+        assert "[96, 128)" in message
 
 
 class TestSpecPlumbing:
