@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from typing import Union
 
-import numpy as np
-
 __all__ = [
     "zero_work_threshold",
     "p0_optimal_work",
@@ -261,7 +259,3 @@ def guideline_p1_period_length(k: int, lifespan: Number, setup_cost: Number) -> 
     if k >= m - 1:
         return 1.5 * c
     return math.sqrt(2.0 * c * U) - (k - 3.5) * c
-
-
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)

@@ -189,11 +189,6 @@ def nonadaptive_work_under_times(schedule: EpisodeSchedule,
     return work
 
 
-def _pattern_work(schedule: EpisodeSchedule, params: CycleStealingParams,
-                  indices: Tuple[int, ...]) -> float:
-    return nonadaptive_opportunity_work(schedule, params, PeriodEndInterrupts(indices))
-
-
 def _fewer_than_budget_case(period_losses: np.ndarray, p: int, m: int,
                             uninterrupted: float
                             ) -> Tuple[PeriodEndInterrupts, float]:
