@@ -265,27 +265,26 @@ class Coordinator:
         self.ledger = PointLedger(pending, ttl=self._lease_ttl, total=total,
                                   done=done)
         self._payload_digests = self.run.manifest.get("payload_digests")
-        self._dp_solves = 0
-        self._tables = self._solve_tables(pending, cache_dir)
+        cache = DPTableCache(cache_dir=cache_dir)
+        self._tables = self._solve_tables(pending, cache)
+        self._dp_solves = cache.stats.misses
         if self.ledger.all_done():
             self._finalise()
 
-    def _solve_tables(self, pending: List[int], cache_dir: Optional[str]
+    def _solve_tables(self, pending: List[int], cache: DPTableCache
                       ) -> Dict[CacheKey, Tuple[bytes, str]]:
         """Wire bytes and sha256 of the pending points' planned DP tables.
 
         Each table is listed under its own key.  A larger covering table
-        found in ``cache_dir`` is listed under its key, not the planned
-        one, so every key maps to exactly one blob.
+        found on disk is listed under its key, not the planned one, so
+        every key maps to exactly one blob.
         """
-        config = payload_config(self.spec, cache_dir=cache_dir)
+        config = payload_config(self.spec)
         if config is None:  # scenario specs have no DP tables
             return {}
         grid = self.spec.to_grid()
-        cache = DPTableCache(cache_dir=cache_dir)
         tables = solve_table_plan([grid.point_at(i) for i in pending],
                                   config, cache)
-        self._dp_solves = cache.stats.misses
         wire = {}
         for table in tables:
             blob = serialize_table(table)
