@@ -193,9 +193,8 @@ def shared_table_keys(points: Sequence[SweepPoint],
                       config: ExperimentConfig) -> List[Tuple[int, int, int]]:
     """Distinct integer DP ``(L, c, p)`` keys the points will look up.
 
-    These are the points that need a table: every integer-valued point
-    with the optimal column on, and every ``dp-optimal`` scheduler point.
-    Sorted for a deterministic plan.
+    An integer-valued point looks one up when the optimal column is on
+    or its scheduler is ``dp-optimal``.  Sorted for a deterministic plan.
     """
     keys: Set[Tuple[int, int, int]] = set()
     for point in points:
