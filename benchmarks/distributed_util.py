@@ -22,8 +22,8 @@ import time
 from typing import Dict
 
 from repro.distributed import run_spec_distributed
-from repro.experiments.orchestrator import plan_table_keys, shared_table_keys
-from repro.specs import expand_payloads, parse_spec, payload_config
+from repro.experiments.orchestrator import spec_table_plan
+from repro.specs import parse_spec
 
 #: Worker counts the scaling table commits (process-level parallelism).
 WORKER_COUNTS = (1, 2, 4)
@@ -67,10 +67,7 @@ def planned_tables() -> int:
     guard's notion of "how many solves a perfect cluster needs" can never
     drift from theirs.
     """
-    spec = parse_spec(TABLE_SPEC)
-    config = payload_config(spec)
-    points = [point for point, _config in expand_payloads(spec)]
-    return len(plan_table_keys(shared_table_keys(points, config)))
+    return len(spec_table_plan(parse_spec(TABLE_SPEC)))
 
 
 def measure_scaling(runs_dir, workers: int,

@@ -45,17 +45,9 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.orchestrator import (  # noqa: E402
-    plan_table_keys,
-    shared_table_keys,
-)
+from repro.experiments.orchestrator import spec_table_plan  # noqa: E402
 from repro.runstore import run_spec  # noqa: E402
-from repro.specs import (  # noqa: E402
-    default_run_id,
-    expand_payloads,
-    parse_spec,
-    payload_config,
-)
+from repro.specs import default_run_id, parse_spec  # noqa: E402
 
 #: The round-trip workload: 12 Monte-Carlo points with DP optima, so the
 #: kill exercises lease recovery AND the table service in one pass.
@@ -216,9 +208,7 @@ def main(argv=None) -> int:
     # Phase 4: the coordinator's summary must show exactly one DP solve
     # per planned table — 1 here (one covering table for the single setup
     # cost), re-derived through the executors' own plan.
-    points = [point for point, _config in expand_payloads(spec)]
-    expected = len(plan_table_keys(shared_table_keys(points,
-                                                     payload_config(spec))))
+    expected = len(spec_table_plan(spec))
     solves = re.search(r"(\d+) DP solves", summary)
     if solves is None or int(solves.group(1)) != expected:
         return fail(f"expected exactly {expected} DP solves in the "

@@ -38,12 +38,11 @@ from ..experiments.cache import (
     serialize_table,
     table_key,
 )
-from ..experiments.orchestrator import solve_table_plan
+from ..experiments.orchestrator import solve_table_plan, spec_table_plan
 from ..runstore import DEFAULT_RUNS_DIR, Run, RunStore, RunStoreError, run_spec
 from ..specs import (
     ExperimentSpec,
     default_run_id,
-    payload_config,
     spec_digest,
     spec_to_dict,
 )
@@ -215,10 +214,10 @@ class Coordinator:
     ``repro report`` and the consolidation/vouch machinery treat a
     distributed run identically to a local one.
 
-    Start with :meth:`start` (binds and returns immediately), wait for
-    completion with :meth:`wait`, and always :meth:`stop` in a
-    ``finally``.  ``port=0`` binds an ephemeral port; read
-    :attr:`address` after ``start()``.
+    Start with :meth:`start` (binds, solves the planned DP tables, then
+    accepts in the background and returns), wait for completion with
+    :meth:`wait`, and always :meth:`stop` in a ``finally``.  ``port=0``
+    binds an ephemeral port; read :attr:`address` after ``start()``.
     """
 
     def __init__(self, spec: ExperimentSpec, *,
@@ -265,32 +264,30 @@ class Coordinator:
         self.ledger = PointLedger(pending, ttl=self._lease_ttl, total=total,
                                   done=done)
         self._payload_digests = self.run.manifest.get("payload_digests")
-        cache = DPTableCache(cache_dir=cache_dir)
-        self._tables = self._solve_tables(pending, cache)
-        self._dp_solves = cache.stats.misses
+        # Solved by start(), once the socket is bound.
+        self._plan = spec_table_plan(spec, pending)
+        self._cache_dir = cache_dir
+        self._tables: Dict[CacheKey, Tuple[bytes, str]] = {}
+        self._dp_solves = 0
         if self.ledger.all_done():
             self._finalise()
 
-    def _solve_tables(self, pending: List[int], cache: DPTableCache
-                      ) -> Dict[CacheKey, Tuple[bytes, str]]:
-        """Wire bytes and sha256 of the pending points' planned DP tables.
+    def _solve_tables(self) -> None:
+        """Solve the planned DP tables into wire bytes and sha256.
 
         Each table is listed under its own key.  A larger covering table
         found on disk is listed under its key, not the planned one, so
         every key maps to exactly one blob.
         """
-        config = payload_config(self.spec)
-        if config is None:  # scenario specs have no DP tables
-            return {}
-        grid = self.spec.to_grid()
-        tables = solve_table_plan([grid.point_at(i) for i in pending],
-                                  config, cache)
+        cache = DPTableCache(cache_dir=self._cache_dir)
         wire = {}
-        for table in tables:
+        for (_L, _c, _p, method), table in zip(
+                self._plan, solve_table_plan(self._plan, cache)):
             blob = serialize_table(table)
-            wire[table_key(table, config.dp_method)] = (
+            wire[table_key(table, method)] = (
                 blob, hashlib.sha256(blob).hexdigest())
-        return dict(sorted(wire.items()))
+        self._tables = dict(sorted(wire.items()))
+        self._dp_solves = cache.stats.misses
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -303,6 +300,9 @@ class Coordinator:
     def start(self) -> "Coordinator":
         sock = socket.create_server((self._host, self._port), backlog=64)
         self._server_sock = sock
+        # Bound first: workers that connect while the tables are solved
+        # wait in the listen backlog instead of being refused.
+        self._solve_tables()
         acceptor = threading.Thread(target=self._accept_loop,
                                     name="repro-coordinator-accept",
                                     daemon=True)

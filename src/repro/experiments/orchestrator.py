@@ -22,7 +22,7 @@ Three properties the tests pin down:
 2. **Serial equivalence.**  ``jobs=1`` runs everything in-process (no pool,
    easier debugging, identical rows).
 3. **One DP table per setup cost.**  Before the first point the sweep
-   solves the tables :func:`plan_table_keys` picks for the whole sweep
+   solves the tables :func:`table_plan` picks for the whole sweep
    (:func:`solve_table_plan`) — one covering ``(max L, c, max p)`` table
    per setup cost where that is smaller than the tables it replaces — and
    covering lookups answer every point from them: in-process for
@@ -39,11 +39,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from ..analysis.gap import measure_guaranteed_work
 from ..dp.value import ValueTable
 from .cache import (
+    CacheKey,
     DPTableCache,
     SharedTableHandle,
     SharedTablePublisher,
@@ -56,7 +58,8 @@ from .profiling import aggregate_profiles, pop_profile, render_profile, stage_co
 
 __all__ = ["ExperimentConfig", "run_sweep", "execute_points", "parallel_map",
            "publish_shared_tables", "shared_table_keys", "plan_table_keys",
-           "solve_table_plan", "presolve_tables"]
+           "table_plan", "spec_table_plan", "solve_table_plan",
+           "presolve_tables"]
 
 
 @dataclass(frozen=True)
@@ -233,23 +236,47 @@ def plan_table_keys(keys: Sequence[Tuple[int, int, int]]
     return sorted(plan)
 
 
-def solve_table_plan(points: Sequence[SweepPoint], config: ExperimentConfig,
-                     cache: DPTableCache, *,
-                     max_tables: Optional[int] = None) -> List[ValueTable]:
-    """Solve the DP tables that answer every point of ``points``.
+def table_plan(points: Sequence[SweepPoint],
+               config: ExperimentConfig) -> List[CacheKey]:
+    """The ``(L, c, p, method)`` DP tables a run over ``points`` solves.
 
-    The plan is :func:`plan_table_keys` over :func:`shared_table_keys`,
-    solved through ``cache`` in plan order; a table may come from disk,
-    and a disk hit may be a larger covering table.  This is the one place
-    a run's tables are solved: :func:`presolve_tables`,
-    :func:`publish_shared_tables` and the cluster coordinator all call it.
-    A plan of more than ``max_tables`` tables is not solved at all (an
-    empty list).
+    :func:`plan_table_keys` over :func:`shared_table_keys`, in the
+    config's DP method.  This is the one plan of every executor:
+    :func:`presolve_tables`, :func:`publish_shared_tables` and the cluster
+    coordinator (through :func:`spec_table_plan`) all solve it.
     """
-    keys = plan_table_keys(shared_table_keys(points, config))
-    if max_tables is not None and len(keys) > max_tables:
+    return [(L, c, p, config.dp_method)
+            for L, c, p in plan_table_keys(shared_table_keys(points, config))]
+
+
+def spec_table_plan(spec, pending: Optional[Iterable[int]] = None
+                    ) -> List[CacheKey]:
+    """:func:`table_plan` of a spec's points, or of its ``pending`` indices.
+
+    Empty for a scenario spec, which looks up no DP tables.  The cluster
+    coordinator plans a (resumed) run's pending points through this, and
+    the benchmarks and checks re-derive their expected DP solves from it.
+    """
+    from ..specs import payload_config
+
+    config = payload_config(spec)
+    if config is None:
         return []
-    return [cache.solve(L, c, p, method=config.dp_method) for L, c, p in keys]
+    grid = spec.to_grid()
+    indices = range(grid.size) if pending is None else pending
+    return table_plan([grid.point_at(i) for i in indices], config)
+
+
+def solve_table_plan(plan: Sequence[CacheKey],
+                     cache: DPTableCache) -> List[ValueTable]:
+    """Solve the tables of a :func:`table_plan` through ``cache``, in order.
+
+    A table may come from disk, and a disk hit may be a larger covering
+    table.  This is the one place a run's tables are solved:
+    :func:`presolve_tables`, :func:`publish_shared_tables` and the cluster
+    coordinator all call it.
+    """
+    return [cache.solve(L, c, p, method=method) for L, c, p, method in plan]
 
 
 def presolve_tables(points: Sequence[SweepPoint],
@@ -263,8 +290,10 @@ def presolve_tables(points: Sequence[SweepPoint],
     otherwise evict tables before using them.
     """
     cache = _worker_cache(config.cache_dir)
-    tables = solve_table_plan(points, config, cache,
-                              max_tables=cache.max_memory_entries)
+    plan = table_plan(points, config)
+    if len(plan) > cache.max_memory_entries:
+        return
+    tables = solve_table_plan(plan, cache)
     if any(point.scheduler == "dp-optimal" for point in points):
         for table in tables:
             shared_cache().preload(table, method=config.dp_method)
@@ -279,8 +308,8 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     """Solve the sweep's planned DP tables and publish them to shared memory.
 
     Called by the driver before fanning points out to worker processes:
-    the tables :func:`solve_table_plan` picks (usually one covering table
-    per setup cost) are solved in this process (through ``cache``, so disk
+    the tables :func:`table_plan` picks (usually one covering table per
+    setup cost) are solved in this process (through ``cache``, so disk
     levels still help) and each copied into one shared-memory block;
     workers answer every point's key from them by covering lookups.  Returns the publisher
     (close it in a ``finally``; ``None`` when there is nothing to share)
@@ -297,7 +326,7 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     grows again, but results are identical.
     """
     cache = cache if cache is not None else DPTableCache(cache_dir=config.cache_dir)
-    tables = solve_table_plan(points, config, cache)
+    tables = solve_table_plan(table_plan(points, config), cache)
     if not tables:
         return None, config
     owned = publisher is None
@@ -325,7 +354,7 @@ def execute_points(payloads: Union[Sequence[Any], Dict[int, Any]],
     The one point executor behind :func:`run_sweep` and
     :func:`repro.runstore.run_spec`.  Sweep payloads
     (``(SweepPoint, ExperimentConfig)`` pairs) first get the DP tables of
-    the *pending* points, planned by :func:`plan_table_keys`: points run
+    the *pending* points, planned by :func:`table_plan`: points run
     in-process solve them into this process's cache
     (:func:`presolve_tables`); points run over the process pool, or any
     run given an external ``publisher``, publish them to shared memory

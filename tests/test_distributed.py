@@ -27,6 +27,7 @@ from repro.distributed import (
     WorkerClient,
     run_spec_distributed,
 )
+import repro.distributed.coordinator as coordinator_module
 from repro.distributed.executor import _worker_entry
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -38,15 +39,13 @@ from repro.distributed.protocol import (
 )
 from repro.dp import solve
 from repro.experiments.cache import DPTableCache, serialize_table
-from repro.experiments.orchestrator import plan_table_keys, shared_table_keys
+from repro.experiments.orchestrator import solve_table_plan, spec_table_plan
 from repro.runstore import RunStore, row_to_shard_bytes, run_spec
 from repro.specs import (
     default_run_id,
     evaluate_payload,
     expand_payload_at,
-    expand_payloads,
     parse_spec,
-    payload_config,
     spec_digest,
     spec_to_dict,
 )
@@ -111,15 +110,6 @@ def run_tree(run):
                 digest = hashlib.sha256(handle.read()).hexdigest()
             out[os.path.relpath(path, run.root)] = digest
     return out
-
-
-def planned_tables(spec, pending=None):
-    """The run's table plan re-derived from the spec, as ``welcome`` lists it."""
-    points = [point for point, _config in expand_payloads(spec)]
-    if pending is not None:
-        points = [points[i] for i in pending]
-    keys = plan_table_keys(shared_table_keys(points, payload_config(spec)))
-    return [[L, c, p, "fast"] for L, c, p in keys]
 
 
 def handshake(coordinator, *, worker_id="raw", digest=None,
@@ -271,7 +261,7 @@ class TestByteIdentity:
         # 16 distinct (L, c, p) keys, planned as one covering table per
         # setup cost: the cluster solves what run_spec(jobs=2) solves, and
         # each worker fetches each table once.
-        plan = planned_tables(spec)
+        plan = spec_table_plan(spec)
         assert len(plan) == 2
         assert metrics["table_service"]["dp_solves"] == len(plan)
         assert metrics["table_service"]["requests"] == 2 * len(plan)
@@ -475,10 +465,38 @@ class TestTableService:
         coordinator.start()
         try:
             conn, welcome = handshake(coordinator)
-            assert welcome["tables"] == planned_tables(spec) \
+            plan = [list(key) for key in spec_table_plan(spec)]
+            assert welcome["tables"] == plan \
                 == [[80, 1, 2, "fast"], [80, 2, 2, "fast"]]
             assert coordinator.metrics_snapshot()["table_service"][
                 "dp_solves"] == 2
+            conn.close()
+        finally:
+            coordinator.stop()
+
+    def test_worker_connecting_during_the_solve_is_queued(self, tmp_path,
+                                                           monkeypatch):
+        # start() binds before it solves the plan: a worker that connects
+        # meanwhile waits in the listen backlog instead of being refused.
+        coordinator = Coordinator(parse_spec(TABLE_SPEC),
+                                  runs_dir=tmp_path / "runs")
+        early = []
+
+        def solve_after_a_connect(plan, cache):
+            early.append(connect(*coordinator.address, timeout=30.0))
+            return solve_table_plan(plan, cache)
+
+        monkeypatch.setattr(coordinator_module, "solve_table_plan",
+                            solve_after_a_connect)
+        coordinator.start()
+        try:
+            (conn,) = early
+            welcome, _ = conn.request({"type": "hello",
+                                       "protocol": PROTOCOL_VERSION,
+                                       "worker_id": "early"})
+            assert welcome["type"] == "welcome"
+            assert welcome["tables"] == [[80, 1, 2, "fast"],
+                                         [80, 2, 2, "fast"]]
             conn.close()
         finally:
             coordinator.stop()
@@ -535,8 +553,8 @@ class TestTableService:
         coordinator.start()
         try:
             conn, welcome = handshake(coordinator)
-            assert welcome["tables"] == planned_tables(spec, range(4, 8)) \
-                == [[80, 2, 2, "fast"]]
+            plan = [list(key) for key in spec_table_plan(spec, range(4, 8))]
+            assert welcome["tables"] == plan == [[80, 2, 2, "fast"]]
             assert coordinator.metrics_snapshot()["table_service"][
                 "dp_solves"] == 1
             conn.close()
