@@ -10,8 +10,8 @@ out:
 * ``GET /status/<entry-id>`` — one entry's summary, 404 when unknown.
 * ``GET /metrics`` — operational counters (queue states plus, when a
   ``metrics`` callable was supplied, distributed-executor gauges: points
-  pending/leased/done, worker count, table-service hits/misses, shard
-  bytes streamed).
+  pending/leased/done, worker count, table-service requests and DP
+  solves, shard bytes streamed).
 
 Binds localhost only by default; requests are served on daemon threads
 (:class:`~http.server.ThreadingHTTPServer`) so a slow reader never stalls
