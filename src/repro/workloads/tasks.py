@@ -10,6 +10,7 @@ size distributions the examples use.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +26,16 @@ class TaskBag:
     sizes:
         Work units needed by each task (all strictly positive).  Tasks are
         dispatched in the given order; because the tasks are independent the
-        order does not affect any quantity the library reports.
+        order does not affect any quantity the library reports.  The bag
+        keeps its own float64 copy: an array is copied directly, any other
+        iterable is read element by element.
     """
 
     def __init__(self, sizes: Sequence[float]):
-        arr = np.asarray(list(sizes), dtype=float)
+        if isinstance(sizes, np.ndarray) and sizes.ndim > 0:
+            arr = np.array(sizes, dtype=float)
+        else:
+            arr = np.asarray(list(sizes), dtype=float)
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
             raise ValueError("task sizes must be positive finite numbers")
         self._sizes = arr
@@ -80,11 +86,14 @@ class TaskBag:
 
         Returns ``(tasks_completed, work_consumed)``.  Partial tasks are not
         executed (the model's tasks are indivisible), so the unused capacity
-        is simply returned to the caller implicitly.
+        is simply returned to the caller implicitly.  An infinite capacity
+        completes every remaining task; a NaN one raises ``ValueError``.
         """
-        if work_capacity <= 0.0 or self.is_empty:
-            return 0, 0.0
         budget = float(work_capacity)
+        if math.isnan(budget):
+            raise ValueError("work capacity must not be NaN")
+        if budget <= 0.0 or self.is_empty:
+            return 0, 0.0
         count = 0
         used = 0.0
         while self._next < self.total_tasks:

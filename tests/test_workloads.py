@@ -1,5 +1,6 @@
 """Tests for task bags, owner-activity traces and scenarios."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,13 @@ class TestTaskBag:
         bag = TaskBag([1.0])
         assert bag.take(0.0) == (0, 0.0)
 
+    def test_take_rejects_nan_capacity(self):
+        bag = constant_tasks(10)
+        with pytest.raises(ValueError, match="NaN"):
+            bag.take(float("nan"))
+        assert bag.completed_tasks == 0
+        assert bag.take(float("inf")) == (10, 10.0)
+
     def test_reset(self):
         bag = TaskBag([1.0, 1.0])
         bag.take(10.0)
@@ -55,6 +63,37 @@ class TestTaskBag:
             TaskBag([1.0, -1.0])
         with pytest.raises(ValueError):
             TaskBag([0.0])
+
+
+class TestTaskBagArrayIntake:
+    """An array is copied straight into the bag, as if read as a list."""
+
+    def test_source_mutation_leaves_bag_unchanged(self):
+        sizes = np.array([1.0, 2.0, 3.0])
+        bag = TaskBag(sizes)
+        sizes[:] = 7.0
+        assert bag.sizes.tolist() == [1.0, 2.0, 3.0]
+        assert bag.total_work == 6.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_sizes_match_list_path_bitwise(self, dtype):
+        rng = np.random.default_rng(5)
+        sizes = (rng.lognormal(0.0, 0.5, size=200) * 10 + 1).astype(dtype)
+        from_array = TaskBag(sizes).sizes
+        from_list = TaskBag(sizes.tolist()).sizes
+        assert from_array.dtype == np.float64
+        assert from_array.tobytes() == from_list.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_arrays(self, bad):
+        with pytest.raises(ValueError, match="positive finite"):
+            TaskBag(np.array([1.0, bad, 2.0]))
+
+    def test_sizes_stay_read_only(self):
+        bag = TaskBag(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            bag.sizes[0] = 5.0
+        assert bag.sizes.tolist() == [1.0, 2.0]
 
     def test_generators(self):
         assert constant_tasks(5, 2.0).total_work == 10.0
