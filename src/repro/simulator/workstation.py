@@ -10,6 +10,7 @@ lives in :class:`WorkstationState`, created fresh for every simulation run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -52,19 +53,22 @@ class BorrowedWorkstation:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lifespan <= 0.0:
-            raise InvalidParameterError(f"lifespan must be positive, got {self.lifespan!r}")
-        if self.setup_cost < 0.0:
+        if not (math.isfinite(self.lifespan) and self.lifespan > 0.0):
             raise InvalidParameterError(
-                f"setup_cost must be non-negative, got {self.setup_cost!r}")
+                f"lifespan must be a positive finite number, got {self.lifespan!r}")
+        if not (math.isfinite(self.setup_cost) and self.setup_cost >= 0.0):
+            raise InvalidParameterError(
+                f"setup_cost must be a non-negative finite number, got {self.setup_cost!r}")
         if self.interrupt_budget < 0:
             raise InvalidParameterError(
                 f"interrupt_budget must be non-negative, got {self.interrupt_budget!r}")
-        if self.speed <= 0.0:
-            raise InvalidParameterError(f"speed must be positive, got {self.speed!r}")
+        if not (math.isfinite(self.speed) and self.speed > 0.0):
+            raise InvalidParameterError(
+                f"speed must be a positive finite number, got {self.speed!r}")
         times = tuple(sorted(float(t) for t in self.owner_interrupts))
-        if any(t < 0.0 for t in times):
-            raise InvalidParameterError("owner interrupt times must be non-negative")
+        if not all(math.isfinite(t) and t >= 0.0 for t in times):
+            raise InvalidParameterError(
+                "owner interrupt times must be non-negative finite numbers")
         object.__setattr__(self, "owner_interrupts", times)
 
 

@@ -62,6 +62,28 @@ class TestBorrowedWorkstation:
             BorrowedWorkstation("w", lifespan=10.0, setup_cost=1.0, interrupt_budget=1,
                                 owner_interrupts=[-2.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lifespan(self, value):
+        with pytest.raises(InvalidParameterError, match="lifespan"):
+            BorrowedWorkstation("w", lifespan=value, setup_cost=1.0, interrupt_budget=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_setup_cost(self, value):
+        with pytest.raises(InvalidParameterError, match="setup_cost"):
+            BorrowedWorkstation("w", lifespan=10.0, setup_cost=value, interrupt_budget=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_speed(self, value):
+        with pytest.raises(InvalidParameterError, match="speed"):
+            BorrowedWorkstation("w", lifespan=10.0, setup_cost=1.0, interrupt_budget=1,
+                                speed=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interrupt_time(self, value):
+        with pytest.raises(InvalidParameterError, match="interrupt times"):
+            BorrowedWorkstation("w", lifespan=10.0, setup_cost=1.0, interrupt_budget=2,
+                                owner_interrupts=[value, 5.0])
+
     def test_interrupts_sorted(self):
         ws = BorrowedWorkstation("w", lifespan=10.0, setup_cost=1.0, interrupt_budget=2,
                                  owner_interrupts=[5.0, 2.0])
