@@ -60,8 +60,10 @@ strictly sequential with a fixed internal batch size).
 
 from __future__ import annotations
 
+import contextvars
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +106,26 @@ STREAMING_AUTO_THRESHOLD = 10_000
 #: Bounds for the auto-sized streaming chunk (replications per chunk).
 _MIN_CHUNK = 256
 _MAX_CHUNK = 8192
+
+#: The open :func:`instance_holder`'s slot in this context: ``[None]`` or
+#: ``[(key, instances)]``; ``None`` when no holder is open.
+_held_instances: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
+    "held_scenario_instances", default=None)
+
+
+@contextmanager
+def instance_holder() -> Iterator[None]:
+    """Hold the last batch instance list :func:`replicate_scenario` built.
+
+    One slot per run (see :func:`replicate_scenario`): the slot lives in a
+    :class:`contextvars.ContextVar`, so concurrent runs on other threads
+    each get their own, and closing the holder drops it.
+    """
+    token = _held_instances.set([None])
+    try:
+        yield
+    finally:
+        _held_instances.reset(token)
 
 
 def _check_backend(backend: str) -> str:
@@ -625,6 +647,17 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
     and the variance mode only, never on the scheduler or the chunking,
     so different schedulers face identical instances (paired comparison)
     and chunked results are bit-identical for any chunk size.
+
+    On the batch backend, inside a run (an :func:`instance_holder` that
+    :func:`~repro.experiments.orchestrator.execute_points` opens around
+    its in-process loop), those instances are built once per run and
+    shared by the spec's schedulers: a call reuses the instance list the
+    previous call built when the family, ``family_kwargs``, ``base_seed``,
+    ``variance`` and replication range all match.  The batch simulator
+    only reads its instances, so the rows are bit-identical either way.
+    The event backend uses up each instance's task bag, so it builds
+    fresh instances for every call, as do calls outside a run, pool
+    children and cluster workers.
     """
     from ..simulator import CycleStealingSimulation
 
@@ -640,14 +673,35 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
         from ..schedules import EqualizingAdaptiveScheduler
         return EqualizingAdaptiveScheduler()
 
+    def instance(r: int):
+        return family(seed=replication_seed(base_seed, family_label, r,
+                                            variance), **family_kwargs)
+
+    def held_instances(start: int, stop: int) -> list:
+        """Instances ``[start, stop)``, shared through an open holder."""
+        slot = _held_instances.get()
+        key = (family, tuple(sorted(family_kwargs.items())), base_seed,
+               variance, start, stop)
+        try:
+            hash(key)
+        except TypeError:
+            slot = None  # mutable kwargs may change between calls: never hold
+        if slot is None:
+            return [instance(r) for r in range(start, stop)]
+        held = slot[0]
+        if held is not None and held[0] == key:
+            return held[1]
+        # Release the held set first: at most one set is alive at a time.
+        held = slot[0] = None
+        built = [instance(r) for r in range(start, stop)]
+        slot[0] = (key, built)
+        return built
+
     def play(start: int, stop: int):
         if backend == "batch":
             from ..simulator.batch import simulate_scenarios_batch
 
-            scenarios = [family(seed=replication_seed(base_seed, family_label,
-                                                      r, variance),
-                                **family_kwargs)
-                         for r in range(start, stop)]
+            scenarios = held_instances(start, stop)
             run_scheduler = scheduler
             if scheduler is None and scheduler_factory is None:
                 run_scheduler = default_scheduler()
@@ -656,10 +710,7 @@ def replicate_scenario(family, replications: int, *, base_seed: int = 0,
         else:
             reports = []
             for r in range(start, stop):
-                scenario = family(seed=replication_seed(base_seed,
-                                                        family_label, r,
-                                                        variance),
-                                  **family_kwargs)
+                scenario = instance(r)
                 if scheduler is None and scheduler_factory is None:
                     run_scheduler = default_scheduler()
                 else:

@@ -53,7 +53,7 @@ from .cache import (
     shared_cache,
 )
 from .grid import SweepGrid, SweepPoint, make_scheduler
-from .montecarlo import replicate_point
+from .montecarlo import instance_holder, replicate_point
 from .profiling import aggregate_profiles, pop_profile, render_profile, stage_column
 
 __all__ = ["ExperimentConfig", "run_sweep", "execute_points", "parallel_map",
@@ -364,10 +364,13 @@ def execute_points(payloads: Union[Sequence[Any], Dict[int, Any]],
 
     Points run in-process when ``jobs`` resolves to 1 or one point is
     pending, otherwise over a process pool, so ``evaluate`` must then be a
-    module-level callable.  Each row loses its profile columns and goes to
-    ``on_row(index, row)`` as soon as its point finishes, in completion
-    order.  Returns the per-stage totals of those profiles, with the table
-    preparation counted under ``dp_solve`` (empty when nothing is pending).
+    module-level callable.  The in-process loop runs inside an
+    :func:`~repro.experiments.montecarlo.instance_holder`, so a scenario
+    spec's schedulers share one batch instance set.  Each row loses its
+    profile columns and goes to ``on_row(index, row)`` as soon as its
+    point finishes, in completion order.  Returns the per-stage totals of
+    those profiles, with the table preparation counted under ``dp_solve``
+    (empty when nothing is pending).
     """
     if not pending:
         return {}
@@ -391,8 +394,9 @@ def execute_points(payloads: Union[Sequence[Any], Dict[int, Any]],
 
     try:
         if workers <= 1:
-            for index in pending:
-                finish(index, evaluate(payloads[index]))
+            with instance_holder():
+                for index in pending:
+                    finish(index, evaluate(payloads[index]))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {pool.submit(evaluate, payloads[i]): i
