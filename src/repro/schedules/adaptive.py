@@ -100,7 +100,8 @@ def _assemble_from_prefix(scheduler, residuals, p: int, c: float,
             # The scalar short-residual / exhausted-adversary / zero-cost
             # branches all emit one long period; batched below.
             single_idx.append(i)
-        elif state is None or state.capped or L < state.tail_end:
+        elif (not L > 0.0 or state is None or state.capped
+              or L < state.tail_end):
             out[i] = scheduler.episode_schedule(L, p, c)
         elif L == state.tail_end:
             # The tail alone covers the residual; the body loop never runs.

@@ -23,7 +23,12 @@ run through either referee and through the discrete-event simulator.
 
 from __future__ import annotations
 
+from typing import List, Optional
+
+import numpy as np
+
 from ..core.exceptions import SchedulingError
+from ..core.game import _BLOCK_PERIODS
 from ..core.params import CycleStealingParams
 from ..core.schedule import EpisodeSchedule
 from .base import AdaptiveScheduler, NonAdaptiveScheduler
@@ -71,7 +76,7 @@ class FixedPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
     name = "fixed-period"
 
     def __init__(self, period_length: float):
-        if period_length <= 0.0:
+        if not period_length > 0.0:
             raise ValueError(f"period_length must be positive, got {period_length!r}")
         self.period_length = float(period_length)
 
@@ -91,6 +96,67 @@ class FixedPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
         if residual_lifespan <= 0.0:
             raise SchedulingError("residual lifespan must be positive")
         return self._build(residual_lifespan)
+
+    def episode_schedule_batch(self, residual_lifespans, interrupts_remaining: int,
+                               setup_cost: float) -> List[EpisodeSchedule]:
+        """:meth:`episode_schedule` for many residual lifespans, in array passes.
+
+        ``from_period_lengths`` lays out ``⌊L / t⌋`` chunks (at least one),
+        subtracting ``t`` from the remaining lifespan chunk by chunk, and
+        the last chunk absorbs what remains.  A row-wise
+        ``np.subtract.accumulate`` of ``[L, t, t, ...]`` performs the same
+        subtractions in the same order, so each schedule is bit for bit the
+        scalar one.  Rows of similar length share a pass of at most
+        :data:`~repro.core.game._BLOCK_PERIODS` padded periods (a longer
+        row is a pass alone), and a pass's schedules are read-only views
+        of one buffer.  Non-positive and non-finite residuals take the
+        scalar path, which raises its errors.
+        """
+        values = np.array([float(x) for x in residual_lifespans])
+        usable = (values > 0.0) & np.isfinite(values)
+        out: List[Optional[EpisodeSchedule]] = [None] * values.size
+        for i in np.flatnonzero(~usable).tolist():
+            out[i] = self.episode_schedule(float(values[i]), interrupts_remaining,
+                                           setup_cost)
+        rows = np.flatnonzero(usable)
+        chunks = np.maximum(values[rows] // self.period_length, 1.0).astype(np.intp)
+        by_chunks = np.argsort(chunks, kind="stable")
+        rows, chunks = rows[by_chunks], chunks[by_chunks]
+        bounds = [0]
+        for i, width in enumerate(chunks.tolist()):
+            if i > bounds[-1] and (i + 1 - bounds[-1]) * (width + 1) > _BLOCK_PERIODS:
+                bounds.append(i)
+        bounds.append(rows.size)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop > start:
+                passed = self._chunk_pass(values[rows[start:stop]], chunks[start:stop])
+                for row, schedule in zip(rows[start:stop].tolist(), passed):
+                    out[row] = schedule
+        return out  # type: ignore[return-value]
+
+    def _chunk_pass(self, lifespans: np.ndarray,
+                    chunks: np.ndarray) -> List[EpisodeSchedule]:
+        """The schedules of rows sorted by chunk count, in one buffer."""
+        t = self.period_length
+        width = int(chunks[-1])
+        steps = np.full((lifespans.size, width + 1), t)
+        steps[:, 0] = lifespans
+        remaining = np.subtract.accumulate(steps, axis=1)
+        # The scalar loop takes min(t, remaining) while the remaining
+        # lifespan stays positive, for at most the row's chunk count ...
+        ahead = remaining[:, :width]
+        keep = (ahead > 0.0) & (np.arange(width) < chunks[:, None])
+        counts = keep.sum(axis=1)
+        periods = np.minimum(ahead, t)
+        # ... and the last chunk absorbs a positive remainder.
+        left = remaining[np.arange(lifespans.size), counts]
+        absorb = np.flatnonzero(left > 0.0)
+        periods[absorb, counts[absorb] - 1] += left[absorb]
+        flat = periods[keep]
+        flat.setflags(write=False)
+        ends = np.cumsum(counts).tolist()
+        return [EpisodeSchedule._from_readonly_view(flat[a:b])
+                for a, b in zip([0] + ends[:-1], ends)]
 
     def opportunity_schedule(self, params: CycleStealingParams) -> EpisodeSchedule:
         """Return fixed-size chunks covering the whole lifespan."""
@@ -112,9 +178,9 @@ class GeometricPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
     name = "geometric-period"
 
     def __init__(self, initial_length: float = None, growth: float = 2.0):
-        if growth <= 1.0:
+        if not growth > 1.0:
             raise ValueError(f"growth must exceed 1, got {growth!r}")
-        if initial_length is not None and initial_length <= 0.0:
+        if initial_length is not None and not initial_length > 0.0:
             raise ValueError(f"initial_length must be positive, got {initial_length!r}")
         self.initial_length = initial_length
         self.growth = float(growth)

@@ -1,5 +1,6 @@
 """Tests for the structural transformations (Theorems 4.1 and 4.2) and baselines."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,18 @@ class TestBaselines:
         s = FixedPeriodScheduler(period_length=30.0)
         assert s.episode_schedule(10.0, 1, 1.0).num_periods == 1
 
+    def test_fixed_period_rejects_nan_length(self):
+        with pytest.raises(ValueError, match="period_length"):
+            FixedPeriodScheduler(period_length=float("nan"))
+
+    def test_geometric_rejects_nan_growth(self):
+        with pytest.raises(ValueError, match="growth"):
+            GeometricPeriodScheduler(growth=float("nan"))
+
+    def test_geometric_rejects_nan_initial_length(self):
+        with pytest.raises(ValueError, match="initial_length"):
+            GeometricPeriodScheduler(initial_length=float("nan"))
+
     def test_geometric_period(self):
         params = CycleStealingParams(1_000.0, 1.0, 2)
         s = GeometricPeriodScheduler(initial_length=10.0, growth=2.0)
@@ -188,6 +201,57 @@ class TestBaselines:
         fixed = FixedPeriodScheduler(period_length=60.0).guaranteed_work(params)
         single = SinglePeriodScheduler().guaranteed_work(params)
         assert guideline > fixed > single
+
+
+class TestFixedPeriodBatch:
+    """``episode_schedule_batch`` is the scalar construction, bit for bit."""
+
+    @pytest.mark.parametrize("period", [19.2, 0.1, 1.0, 7.3])
+    def test_bit_identical_near_multiples(self, period):
+        rng = np.random.default_rng(11)
+        multiples = rng.integers(1, 60, 200) * period
+        residuals = np.concatenate([
+            multiples, multiples * (1 - 1e-15), multiples * (1 + 1e-15),
+            np.nextafter(multiples, 0.0), np.nextafter(multiples, np.inf),
+            rng.uniform(1e-9, 60 * period, 200),
+            [period, period / 2, np.nextafter(period, 0.0)]])
+        scheduler = FixedPeriodScheduler(period_length=period)
+        batch = scheduler.episode_schedule_batch(residuals.tolist(), 2, 1.0)
+        assert isinstance(batch, list) and len(batch) == residuals.size
+        for residual, schedule in zip(residuals.tolist(), batch):
+            scalar = scheduler.episode_schedule(residual, 2, 1.0)
+            assert schedule.periods.tobytes() == scalar.periods.tobytes(), residual
+
+    def test_views_are_read_only(self):
+        batch = FixedPeriodScheduler(period_length=3.0).episode_schedule_batch(
+            [2.0, 9.0, 10.5], 1, 1.0)
+        assert [s.periods.tolist() for s in batch] == [
+            [2.0], [3.0, 3.0, 3.0], [3.0, 3.0, 4.5]]
+        for schedule in batch:
+            assert not schedule.periods.flags.writeable
+            with pytest.raises(ValueError):
+                schedule.periods[0] = 1.0
+
+    def test_long_rows_take_their_own_passes(self):
+        scheduler = FixedPeriodScheduler(period_length=1.0)
+        residuals = [3.5, 70_000.25, 2.0, 100_000.5]
+        for residual, schedule in zip(residuals, scheduler.episode_schedule_batch(
+                residuals, 1, 1.0)):
+            assert (schedule.periods.tobytes()
+                    == scheduler.episode_schedule(residual, 1, 1.0).periods.tobytes())
+
+    @pytest.mark.parametrize("residual", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_residuals_raise_the_scalar_error(self, residual):
+        scheduler = FixedPeriodScheduler(period_length=3.0)
+        with pytest.raises(Exception) as scalar:
+            scheduler.episode_schedule(residual, 1, 1.0)
+        with pytest.raises(type(scalar.value)) as batch:
+            scheduler.episode_schedule_batch([5.0, residual], 1, 1.0)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_empty_batch(self):
+        assert FixedPeriodScheduler(period_length=3.0).episode_schedule_batch(
+            [], 1, 1.0) == []
 
 
 class TestDPOptimalScheduler:
