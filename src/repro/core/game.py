@@ -363,13 +363,13 @@ def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
 _BLOCK_PERIODS = 1 << 16
 
 
-def _state_blocks(counts: np.ndarray):
+def _state_blocks(counts: np.ndarray, limit: int = _BLOCK_PERIODS):
     """``(start, stop)`` runs of consecutive states, each run holding at
-    most :data:`_BLOCK_PERIODS` periods (or one state that alone holds
-    more)."""
+    most ``limit`` periods (or one state that alone holds more).  The batch
+    simulator blocks its replications' events the same way."""
     start = total = 0
     for i, n in enumerate(counts.tolist()):
-        if total and total + n > _BLOCK_PERIODS:
+        if total and total + n > limit:
             yield start, i
             start, total = i, 0
         total += n

@@ -33,9 +33,22 @@ any more (``fallback_reps`` stays empty; it is kept as an attribute so
 harness code and the regression tests can assert exactly that).
 
 The task-bag pass replays :meth:`TaskBag.take`'s greedy packing against the
-bag's size prefix-sums in global completion order (completion time, then
-workstation creation order — exactly the event heap's tie-breaking), so
-``tasks_completed`` also matches the engine.
+bag's size prefix-sums in the event heap's completion order, so
+``tasks_completed`` also matches the engine.  The heap pops by time, then
+push sequence, and equal times are common: machines with the same contract
+finish periods at the same instants.  Events pushed when the heap is
+first filled pop by construction order; every other event was pushed by
+one predecessor pop, so tied pushed events pop in their predecessors'
+order.  :meth:`_BatchKernel._block_order` computes that order in array
+passes: one stable sort by replication, time, filled-first and
+construction order, then waves that place the k-th tied group of every
+replication by its predecessors' final positions (a predecessor pops
+strictly earlier, so its position is final by then).  A replication in
+which some event ties its own predecessor — a period below half an ulp of
+its finish time — falls back to the heap replay
+:meth:`_BatchKernel._completion_order`, which is also the tests' oracle.
+The pass orders and packs one block of replications at a time
+(:data:`_BLOCK_EVENTS`), because it runs at the kernel's memory peak.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.exceptions import SimulationError
+from ..core.game import _state_blocks
 from ..workloads.owner_activity import pad_traces
 from .engine import CycleStealingSimulation
 from .metrics import SimulationReport, WorkstationMetrics
@@ -54,6 +68,14 @@ __all__ = ["simulate_scenarios_batch", "simulate_batch"]
 #: The engine's tolerance for a period finishing exactly at the contract
 #: boundary (see ``CycleStealingSimulation._handle_lifespan_end``).
 LIFESPAN_SLACK = 1e-9
+
+#: Most events one block of the task-bag replay lays out (see
+#: :meth:`_BatchKernel._assign_tasks`).  Blocks are whole replications, so
+#: a replication with more events is a block alone.
+_BLOCK_EVENTS = 1 << 13
+
+#: Construction sequence of an event pushed after the heap is first filled.
+_PUSHED = np.iinfo(np.intp).max
 
 
 def simulate_scenarios_batch(scenarios: Sequence, scheduler=None,
@@ -162,10 +184,13 @@ class _BatchKernel:
         #: empty by the test-suite) as the sentinel that no array pass
         #: ever silently gives up on a replication again.
         self.fallback_reps: Set[int] = set()
+        #: Replications whose task-bag order came from the heap replay
+        #: :meth:`_completion_order`, because some completion tied the
+        #: event that pushed it (a period below half an ulp of its finish).
+        self.replayed_reps: Set[int] = set()
         # Mutable accounting, filled by run().  A "piece" is one episode's
         # run of completed periods: (segment index, lengths, end times).
         self._pieces: List[List[Tuple[int, np.ndarray, np.ndarray]]] = []
-        self._piece_works: List[List[np.ndarray]] = []
         self._boundary: List[bool] = []      # last completion handled at LIFESPAN_END
         self._wasted_parts: List[List[float]] = []
         self._killed: List[int] = []
@@ -210,7 +235,6 @@ class _BatchKernel:
     def run(self) -> None:
         n = len(self.row_rep)
         self._pieces = [[] for _ in range(n)]
-        self._piece_works = [[] for _ in range(n)]
         self._boundary = [False] * n
         self._wasted_parts = [[] for _ in range(n)]
         self._killed = [0] * n
@@ -447,6 +471,10 @@ class _BatchKernel:
             row_setups.append(self.row_setup[row])
             row_speeds.append(self.row_speed[row])
             row_counts.append(count)
+        # The task-bag replay reads each completed period's work from the
+        # flat stream, where each row's periods start at _row_periods[row].
+        self._row_periods = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(row_counts, out=self._row_periods[1:])
         if all_pieces:
             flat_len = np.concatenate(all_pieces)
             counts_arr = np.asarray(row_counts)
@@ -463,6 +491,7 @@ class _BatchKernel:
         else:
             productive = overhead = work = np.empty(0, dtype=float)
             prod_list = over_list = work_list = []
+        self._period_work = work
 
         offset = 0
         for row, count in zip(live, row_counts):
@@ -478,22 +507,14 @@ class _BatchKernel:
                 completed_work = 0.0
                 for v in work_list[offset:offset + count]:
                     completed_work += v
-                row_work = work[sl]
                 if self._idle_events[row]:
                     # Idle gaps close against partial accounted sums, so
                     # this (rare) row needs the full prefix cumsums.
                     prod_cum = np.cumsum(productive[sl])
                     over_cum = np.cumsum(overhead[sl])
-                # Per-piece work values, reused by the task-bag pass.
-                works, piece_offset = [], 0
-                for _seg, lengths, _times in self._pieces[row]:
-                    works.append(row_work[piece_offset:piece_offset + lengths.size])
-                    piece_offset += lengths.size
-                self._piece_works[row] = works
                 offset += count
             else:
                 productive_time = overhead_time = completed_work = 0.0
-                self._piece_works[row] = []
             # Kill parts and idle reclaims accumulate chronologically, the
             # way the engine's += does: each idle gap closes against the
             # accounted time *at that reclaim* (partial productive/overhead
@@ -531,199 +552,176 @@ class _BatchKernel:
 
     # ------------------------------------------------------------------
     def _assign_tasks(self) -> None:
-        """Replay the shared task bag in global completion order per replication."""
-        for rep, rows in self.rep_rows.items():
-            bag = self.rep_bag[rep]
-            if bag is None:
+        """Replay each shared task bag in event-heap completion order.
+
+        The replay runs at the kernel's memory peak, so it orders and packs
+        one block of replications at a time: at most :data:`_BLOCK_EVENTS`
+        events per block, or one replication that alone has more.
+        """
+        reps = list(self.rep_rows)
+        bags = self.rep_bag
+        pending = {rep for rep in reps if bags[rep] is not None
+                   and bags[rep].completed_tasks < bags[rep].sizes.size}
+        if not pending:
+            return
+        # A replication's events: its owner interrupts and its completions.
+        row_events = np.asarray(self._trace_counts) + np.diff(self._row_periods)
+        rep_events = np.add.reduceat(row_events,
+                                     [self.rep_rows[rep][0] for rep in reps])
+        for first, stop in _state_blocks(rep_events, _BLOCK_EVENTS):
+            for rep, completions in self._block_completions(first, stop):
+                if rep in pending:
+                    self._pack(rep, completions)
+
+    def _pack(self, rep: int, completions) -> None:
+        """:meth:`TaskBag.take`'s greedy packing of ``(row, work)`` completions.
+
+        Whole tasks fit while their cumulative size stays within the work
+        plus the take's slack, so each completion is one ``searchsorted``
+        into the bag's size prefix sums.
+        """
+        bag = self.rep_bag[rep]
+        sizes = bag.sizes
+        total = sizes.size
+        pointer = bag.completed_tasks
+        prefix = np.empty(total + 1)
+        prefix[0] = 0.0
+        np.cumsum(sizes, out=prefix[1:])
+        search, at = prefix.searchsorted, prefix.item
+        anchor = at(pointer)
+        counts: Dict[int, int] = {}
+        for row, budget in completions:
+            if budget <= 0.0:
                 continue
-            sizes = bag.sizes
-            total = sizes.size
-            pointer = bag.completed_tasks
-            if total == 0 or pointer >= total:
-                continue
-            prefix = np.empty(total + 1)
-            prefix[0] = 0.0
-            np.cumsum(sizes, out=prefix[1:])
-            search = prefix.searchsorted
-            counts: Dict[int, int] = {}
-            if len(rows) == 1:
-                (row,) = rows
-                taken = 0
-                anchor = float(prefix[pointer])
-                for work_arr in self._piece_works[row]:
-                    for budget in work_arr.tolist():
-                        if budget <= 0.0:
-                            continue
-                        # TaskBag.take's greedy packing, via prefix sums:
-                        # whole tasks fit while their cumulative size stays
-                        # within budget + slack.
-                        new_pointer = int(search(anchor + budget + 1e-12,
-                                                 side="right")) - 1
-                        if new_pointer > pointer:
-                            taken += new_pointer - pointer
-                            pointer = new_pointer
-                            anchor = float(prefix[pointer])
-                            if pointer >= total:
-                                break
-                    if pointer >= total:
-                        break
-                if taken:
-                    counts[row] = taken
+            new_pointer = int(search(anchor + budget + 1e-12, "right")) - 1
+            if new_pointer > pointer:
+                counts[row] = counts.get(row, 0) + (new_pointer - pointer)
+                pointer = new_pointer
+                if pointer >= total:
+                    break
+                anchor = at(pointer)
+        for row, count in counts.items():
+            self._metrics[row].tasks_completed = count
+
+    def _block_completions(self, first: int, stop: int):
+        """Yield ``(rep, completions)`` for replications ``first:stop``.
+
+        Replications count in :attr:`rep_rows` order; ``completions``
+        iterates each completed period's ``(row, work)`` in event-heap
+        order: the array order of :meth:`_block_order`, or the heap replay
+        :meth:`_completion_order` for a replication that order cannot
+        resolve (recorded in :attr:`replayed_reps`).
+        """
+        reps = list(self.rep_rows)[first:stop]
+        rows, works, bounds, replay = self._block_order(reps)
+        for k, rep in enumerate(reps):
+            if k in replay:
+                self.replayed_reps.add(rep)
+                yield rep, self._completion_order(self.rep_rows[rep])
             else:
-                ordered = self._merged_completions(rows)
-                if ordered is None:
-                    ordered = self._ordered_completions(rows)
-                for row, work in ordered:
-                    budget = float(work)
-                    if budget <= 0.0:
-                        continue
-                    new_pointer = int(search(float(prefix[pointer]) + budget + 1e-12,
-                                             side="right")) - 1
-                    if new_pointer > pointer:
-                        counts[row] = counts.get(row, 0) + (new_pointer - pointer)
-                        pointer = new_pointer
-                        if pointer >= total:
-                            break
-            for row, count in counts.items():
-                self._metrics[row].tasks_completed = count
+                lo, hi = bounds[k], bounds[k + 1]
+                yield rep, zip(rows[lo:hi], works[lo:hi])
 
-    def _merged_completions(self, rows: List[int]):
-        """Completions of several workstations merged by time — tie-free only.
+    def _block_order(self, reps: List[int]):
+        """Every completion of consecutive replications ``reps``, heap-ordered.
 
-        When no two completion times across the replication coincide
-        exactly, a stable sort by time reproduces the event heap's order
-        without replaying it.  Returns ``None`` when exact ties exist (the
-        heap replay of :meth:`_completion_order` then decides them).
+        The block's events are laid out as arrays (see the module
+        docstring): owner interrupts, period completions, and the lifespan
+        ends that process a boundary completion.  The heap's other events,
+        silent lifespan ends and killed periods, push nothing, so they
+        cannot reorder a completion.  An event pushed while the heap is
+        first filled carries its construction sequence (row by row: its
+        interrupts, its lifespan end, its first completion); any other
+        event, its predecessor: the previous completion of its episode, or
+        the interrupt that opened the episode.
+
+        Returns the completions' rows and works (lists, replication by
+        replication), each replication's bounds into them, and the block
+        indices of the replications to replay instead (some event ties its
+        own predecessor).
         """
-        times_list, works_list, row_of, count_of = [], [], [], []
-        for r in rows:
-            for (_seg, _lengths, t), w in zip(self._pieces[r],
-                                              self._piece_works[r]):
-                times_list.append(t)
-                works_list.append(w)
-                row_of.append(r)
-                count_of.append(t.size)
-        if not times_list:
-            return []
-        times = np.concatenate(times_list)
-        order = np.argsort(times, kind="stable")
+        lo = self.rep_rows[reps[0]][0]
+        hi = self.rep_rows[reps[-1]][-1] + 1
+        pieces = [(row - lo, segment, times) for row in range(lo, hi)
+                  for segment, _lengths, times in self._pieces[row]]
+        if not pieces:
+            return [], [], [0] * (len(reps) + 1), set()
+        # Rows count from 0 in the block.  Events: every row's interrupts,
+        # then every row's completions (the flat period stream's order).
+        piece_row, segment, piece_times = zip(*pieces)
+        piece_row, segment = np.array(piece_row), np.array(segment)
+        sizes = [times.size for times in piece_times]
+        interrupts = np.zeros(hi - lo + 1, dtype=np.intp)
+        np.cumsum(self._trace_counts[lo:hi], out=interrupts[1:])
+        n_int = int(interrupts[-1])
+        times = np.concatenate(self.row_trace[lo:hi] + list(piece_times))
+        size = times.size
+        event_row = np.concatenate((np.repeat(np.arange(hi - lo), np.diff(interrupts)),
+                                    np.repeat(piece_row, sizes)))
+        event_rep = np.repeat(np.arange(len(reps)),
+                              [len(self.rep_rows[rep]) for rep in reps])[event_row]
+
+        # Construction sequence: a row's interrupts, its lifespan end and
+        # its first completion follow every earlier row's (an interrupt's
+        # index plus two slots per earlier row).
+        seq = np.full(size, _PUSHED, dtype=np.intp)
+        seq[:n_int] = np.arange(n_int) + 2 * event_row[:n_int]
+        head = n_int + np.cumsum([0] + sizes[:-1])  # each episode's first
+        opening = segment == 0
+        seq[head[opening]] = (interrupts[piece_row[opening] + 1]
+                              + 2 * piece_row[opening] + 1)
+        # A completion's predecessor is the previous completion of its
+        # episode, or the interrupt that opened a later episode.
+        pred = np.arange(-1, size - 1)
+        later = ~opening
+        pred[head[later]] = interrupts[piece_row[later]] + segment[later] - 1
+        # A boundary completion is the lifespan end's work.
+        boundary = np.flatnonzero(self._boundary[lo:hi])
+        p0 = int(self._row_periods[lo])
+        seq[n_int + self._row_periods[lo + boundary + 1] - 1 - p0] = (
+            interrupts[boundary + 1] + 2 * boundary)
+
+        order = np.lexsort((seq, times, event_rep))
+        pushed = seq == _PUSHED
+        chained = np.flatnonzero(pushed)
+        replay = set(event_rep[chained[times[pred[chained]]
+                                       == times[chained]]].tolist())
         sorted_times = times[order]
-        if sorted_times.size > 1 and not np.all(sorted_times[:-1] < sorted_times[1:]):
-            return None  # bail before building works/rows: ties are common
-        works = np.concatenate(works_list)[order]
-        row_ids = np.repeat(np.asarray(row_of, dtype=np.int64),
-                            count_of)[order]
-        return zip(row_ids.tolist(), works.tolist())
+        sorted_rep = event_rep[order]
+        group = np.flatnonzero((sorted_times[1:] != sorted_times[:-1])
+                               | (sorted_rep[1:] != sorted_rep[:-1])) + 1
+        group = np.concatenate(([0], group, [size]))   # equal-time groups
+        pushed_count = np.add.reduceat(pushed[order].astype(np.intp), group[:-1])
+        tied = np.flatnonzero(pushed_count > 1)
+        if tied.size:
+            # Wave k: the k-th tied group of each replication.
+            group_rep = sorted_rep[group[tied]]
+            wave = np.arange(tied.size) - np.searchsorted(group_rep, group_rep)
+            by_wave = np.argsort(wave, kind="stable")
+            count = pushed_count[tied][by_wave]
+            offsets = np.zeros(count.size + 1, dtype=np.intp)
+            np.cumsum(count, out=offsets[1:])
+            # A group's pushed events hold its last slots.
+            ends = group[tied + 1][by_wave]
+            slots = np.repeat(ends - offsets[1:], count) + np.arange(offsets[-1])
+            cuts = offsets[np.searchsorted(wave[by_wave],
+                                           np.arange(wave.max() + 2))].tolist()
+            position = np.empty(size, dtype=np.intp)
+            position[order] = np.arange(size)
+            for start, end in zip(cuts[:-1], cuts[1:]):
+                where = slots[start:end]
+                members = order[where]
+                members = members[np.argsort(position[pred[members]])]
+                order[where] = members
+                position[members] = where
 
-    def _ordered_completions(self, rows: List[int]):
-        """``(row, work)`` for every completed period, in event-heap order.
-
-        Vectorized replacement for the heap replay of
-        :meth:`_completion_order` (kept as the reference): instead of
-        pushing and popping every event through ``heapq``, enumerate all
-        events the replay *would* push — period completions (PE), owner
-        interrupts (INT) and lifespan ends (LIFE) — stable-sort them by
-        time once, and resolve only the equal-time groups.
-
-        Within a tie group the heap pops by push sequence.  Init-pushed
-        events (all INT and LIFE events, plus each row's first-segment
-        first completion) carry their construction sequence.  Every other
-        event is pushed by exactly one *predecessor* pop — the previous
-        completion of its chain, or the interrupt opening its segment —
-        and because every period is strictly positive, that predecessor
-        pops at a strictly earlier time.  So when a tie group is reached,
-        every member's predecessor already has its final pop rank, and
-        ordering the group by ``(init events first by init sequence, then
-        dynamic events by predecessor pop rank)`` reproduces the heap's
-        sequence numbers exactly.
-        """
-        times: List[float] = []
-        init_seq: List[int] = []      # construction order; -1 for dynamic
-        pred: List[int] = []          # event id of the push trigger; -1 init
-        out_row: List[int] = []       # yielding row; -1 for silent events
-        out_work: List[float] = []
-        next_init = 0
-
-        for row in rows:               # init pushes, in workstation order
-            trace = self.row_trace[row]
-            per_seg: Dict[int, Tuple[list, list, int]] = {}
-            for (segment, _lengths, t), works in zip(self._pieces[row],
-                                                     self._piece_works[row]):
-                boundary_here = (self._boundary[row]
-                                 and segment == trace.size)
-                per_seg[segment] = (t.tolist(), works.tolist(),
-                                    t.size - (1 if boundary_here else 0))
-            int_ids: Dict[int, int] = {}
-            for seg, t in enumerate(trace.tolist()):
-                int_ids[seg] = len(times)
-                times.append(t)
-                init_seq.append(next_init)
-                next_init += 1
-                pred.append(-1)
-                out_row.append(-1)
-                out_work.append(0.0)
-            # LIFE: processes the boundary completion (if any) at time U.
-            boundary_work = None
-            if self._boundary[row]:
-                entry = per_seg.get(int(trace.size))
-                if entry is not None:
-                    boundary_work = entry[1][-1]
-            times.append(self.row_lifespan[row])
-            init_seq.append(next_init)
-            next_init += 1
-            pred.append(-1)
-            out_row.append(row if boundary_work is not None else -1)
-            out_work.append(boundary_work if boundary_work is not None else 0.0)
-            # PE chains: the first completion of segment 0 is init-pushed;
-            # the first completion of segment s > 0 is pushed by INT s-1;
-            # completion i > 0 is pushed by completion i-1 of its chain.
-            for seg in sorted(per_seg):
-                t_list, w_list, chain = per_seg[seg]
-                if chain <= 0:
-                    continue
-                previous = -1
-                for i in range(chain):
-                    event = len(times)
-                    times.append(t_list[i])
-                    out_row.append(row)
-                    out_work.append(w_list[i])
-                    if i > 0:
-                        init_seq.append(-1)
-                        pred.append(previous)
-                    elif seg == 0:
-                        init_seq.append(next_init)
-                        next_init += 1
-                        pred.append(-1)
-                    else:
-                        init_seq.append(-1)
-                        pred.append(int_ids[seg - 1])
-                    previous = event
-
-        total = len(times)
-        if total == 0:
-            return []
-        times_arr = np.asarray(times)
-        order = np.argsort(times_arr, kind="stable")
-        sorted_times = times_arr[order]
-        pop_rank = np.empty(total, dtype=np.int64)
-        pop_rank[order] = np.arange(total)
-        if total > 1:
-            starts = np.flatnonzero(
-                np.r_[True, sorted_times[1:] != sorted_times[:-1]])
-            ends = np.r_[starts[1:], total]
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                if end - start == 1:
-                    continue
-                members = order[start:end].tolist()
-                members.sort(key=lambda e: ((0, init_seq[e])
-                                            if init_seq[e] >= 0
-                                            else (1, int(pop_rank[pred[e]]))))
-                order[start:end] = members
-                for offset, event in enumerate(members):
-                    pop_rank[event] = start + offset
-
-        return [(out_row[e], out_work[e]) for e in order.tolist()
-                if out_row[e] >= 0]
+        done = order[order >= n_int]
+        bounds = np.zeros(len(reps) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(event_rep[done], minlength=len(reps)),
+                  out=bounds[1:])
+        return ((event_row[done] + lo).tolist(),
+                self._period_work[done + (p0 - n_int)].tolist(),
+                bounds.tolist(), replay)
 
     def _completion_order(self, rows: List[int]):
         """Yield ``(row, work)`` for every completed period in event-heap order.
@@ -735,9 +733,9 @@ class _BatchKernel:
         the already-known completion streams.  Only event ordering is
         replayed here; all the expensive accounting stayed vectorized.
 
-        This is the readable reference; production uses the vectorized
-        :meth:`_ordered_completions`, pinned against this one by the batch
-        simulator tests.
+        This is the readable reference and the fallback of
+        :meth:`_block_order`, which the batch simulator tests and
+        ``scripts/check_completion_order.py`` pin against it.
         """
         import heapq
         import itertools
@@ -762,12 +760,16 @@ class _BatchKernel:
         for row in rows:               # init pushes, in workstation order
             per_seg = {}
             trace = self.row_trace[row]
-            for (segment, _lengths, times), works in zip(self._pieces[row],
-                                                         self._piece_works[row]):
+            works = self._period_work[self._row_periods[row]:
+                                      self._row_periods[row + 1]].tolist()
+            offset = 0
+            for segment, _lengths, times in self._pieces[row]:
                 boundary_here = (self._boundary[row]
                                  and segment == trace.size)
-                per_seg[segment] = (times.tolist(), works.tolist(),
+                per_seg[segment] = (times.tolist(),
+                                    works[offset:offset + times.size],
                                     times.size - (1 if boundary_here else 0))
+                offset += times.size
             piece_of[row] = per_seg
             for seg, t in enumerate(trace.tolist()):
                 heapq.heappush(heap, (t, next(counter), INT, row, seg, 0))

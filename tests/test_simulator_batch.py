@@ -22,7 +22,7 @@ from repro.simulator import (
     simulate_batch,
     simulate_scenarios_batch,
 )
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import SchedulingError, SimulationError
 from repro.workloads import (
     SCENARIO_FAMILIES,
     bursty_office_day,
@@ -262,6 +262,18 @@ class TestEpisodeScheduleBatch:
         scalar = scheduler.episode_schedule(L, 2, 1.0)
         assert np.array_equal(scalar.periods, from_batch.periods)
 
+    @pytest.mark.parametrize("residual", [0.0, -0.0, -1.0])
+    def test_non_positive_residual_raises_like_scalar(self, residual):
+        # An oracle that never leaves the zero-work region builds no tail,
+        # so a zero residual matched the empty prefix and came back as a
+        # schedule without periods.
+        scheduler = EqualizingAdaptiveScheduler(oracle=lambda L, q, c: 1.0)
+        with pytest.raises(SchedulingError) as scalar:
+            scheduler.episode_schedule(residual, 2, 1.0)
+        with pytest.raises(SchedulingError) as batch:
+            scheduler.episode_schedule_batch([residual], 2, 1.0)
+        assert str(batch.value) == str(scalar.value)
+
     def test_base_class_fallback_loops(self):
         scheduler = SinglePeriodScheduler()
         batch = scheduler.episode_schedule_batch([10.0, 20.0], 1, 1.0)
@@ -322,6 +334,111 @@ def test_registered_family_equivalence(family_name):
     event_report, batch_report = run_both(family(), family(),
                                           EqualizingAdaptiveScheduler)
     assert_reports_identical(event_report, batch_report)
+
+
+@pytest.mark.parametrize("scheduler_name", ["equalizing-adaptive",
+                                            "rosenberg-adaptive", "fixed-period"])
+@pytest.mark.parametrize("family_name", ["diurnal", "fleet"])
+def test_tying_family_equivalence_across_seeds(family_name, scheduler_name):
+    """The families whose machines finish periods at equal instants.
+
+    Their machines share (U, c, p), so the guideline schedulers' backward
+    construction ends their episodes' periods at identical times, and the
+    shared task bag's order hinges on the heap's tie-breaking.
+    """
+    from repro.experiments.grid import make_scheduler
+
+    family = SCENARIO_FAMILIES[family_name]
+    scheduler = make_scheduler(scheduler_name, family().params)
+    batch_reports = simulate_scenarios_batch(
+        [family(seed=seed) for seed in range(20)], scheduler)
+    for seed, batch_report in enumerate(batch_reports):
+        scenario = family(seed=seed)
+        event_report = CycleStealingSimulation(
+            scenario.workstations, scheduler, task_bag=scenario.task_bag).run()
+        assert_reports_identical(event_report, batch_report)
+
+
+def _grid_kernel(seed, replications=60):
+    """A kernel over integer-grid replications: identical machines, owner
+    interrupts on period ends, completions on the lifespan boundary."""
+    from repro.simulator.batch import _BatchKernel
+
+    rng = np.random.default_rng(seed)
+    period = float(rng.integers(1, 5))
+    kernel = _BatchKernel(CycleStealingSimulation._resolve_scheduler(
+        FixedPeriodScheduler(period_length=period), None))
+    for rep in range(replications):
+        identical = rep % 2 == 0
+        lifespan = float(rng.integers(6, 30))
+        workstations = []
+        for i in range(int(rng.integers(1, 6))):
+            own = lifespan if identical else float(rng.integers(6, 30))
+            interrupts = np.sort(rng.integers(0, int(own), int(rng.integers(0, 4))))
+            workstations.append(_ws(
+                wid=f"g-{i}", lifespan=own, setup=float(rng.integers(0, 3)),
+                budget=int(rng.integers(0, 4)),
+                interrupts=tuple(interrupts.astype(float).tolist())))
+        kernel.add_replication(rep, workstations, constant_tasks(300, size=0.5))
+    kernel.run()
+    return kernel
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_array_order_matches_heap_replay_on_integer_grids(seed, block):
+    kernel = _grid_kernel(seed)
+    reps = len(kernel.rep_rows)
+    block = block or reps
+    ordered = {}
+    for first in range(0, reps, block):
+        for rep, completions in kernel._block_completions(
+                first, min(first + block, reps)):
+            ordered[rep] = list(completions)
+    assert kernel.replayed_reps == set()
+    ties = 0
+    for rep, rows in kernel.rep_rows.items():
+        expected = list(kernel._completion_order(rows))
+        assert ordered[rep] == expected, rep
+        times = [t for row in rows for _s, _l, piece in kernel._pieces[row]
+                 for t in piece.tolist()]
+        ties += len(times) - len(set(times))
+    assert ties > 100  # the grid really ties completions across machines
+
+
+class _SubUlpScheduler:
+    """Periods below half an ulp of their finish time: equal-time
+    completions of one workstation, each pushed by the one before."""
+
+    name = "sub-ulp"
+
+    def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+        k = 3 if residual == 10.0 else 1
+        return EpisodeSchedule([1.0] + [1e-17] * k
+                               + [residual - 1.0 - k * 1e-17])
+
+
+def test_completions_tied_with_their_predecessor_replay_the_heap():
+    from repro.simulator.batch import _BatchKernel
+    from repro.workloads import TaskBag
+
+    workstations = [_ws(wid="a", lifespan=10.0, setup=0.0, budget=0),
+                    _ws(wid="b", lifespan=10.5, setup=0.0, budget=0)]
+
+    def bag():
+        return TaskBag([1, 1] + [6e-13] * 4 + [100])
+
+    event_report = CycleStealingSimulation(
+        workstations, _SubUlpScheduler(), task_bag=bag()).run()
+    assert [m.tasks_completed for m in event_report.per_workstation.values()] == [3, 3]
+    (batch_report,) = simulate_batch([workstations], _SubUlpScheduler(),
+                                     task_bags=[bag()])
+    assert_reports_identical(event_report, batch_report)
+    kernel = _BatchKernel(CycleStealingSimulation._resolve_scheduler(
+        _SubUlpScheduler(), None))
+    kernel.add_replication(0, workstations, bag())
+    kernel.run()
+    assert kernel.replayed_reps == {0}
 
 
 class _UnderCommittingScheduler:
