@@ -21,12 +21,13 @@ This module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
-from .arithmetic import positive_subtraction
+from .arithmetic import DEFAULT_REL_TOL, positive_subtraction
 from .exceptions import InvalidScheduleError, SchedulingError
 from .params import CycleStealingParams
 from .schedule import EpisodeRecord, EpisodeSchedule, OpportunitySchedule
@@ -292,6 +293,7 @@ def guaranteed_adaptive_work_reference(scheduler: AdaptiveSchedulerProtocol,
     the level-ordered iterative :func:`guaranteed_adaptive_work`, which the
     property tests pin against this one to ``1e-9``.
     """
+    _check_grain(residual_grain)
     c = params.setup_cost
     memo: Dict[Tuple[int, int], float] = {}
 
@@ -328,15 +330,16 @@ def guaranteed_adaptive_work_reference(scheduler: AdaptiveSchedulerProtocol,
     return value(params.lifespan, params.max_interrupts)
 
 
-def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
-                             residuals: Sequence[float], p: int,
-                             c: float) -> List[EpisodeSchedule]:
-    """One referee-validated schedule per residual, batched when possible.
+def _schedule_list(scheduler: AdaptiveSchedulerProtocol,
+                   residuals: Sequence[float], p: int,
+                   c: float) -> List[EpisodeSchedule]:
+    """One :class:`EpisodeSchedule` per residual, batched when possible.
 
     Schedulers exposing ``episode_schedule_batch`` (the guideline
     schedulers share one backward prefix across a whole batch) amortise
-    their construction over every state of a level; each schedule still
-    passes exactly the checks of :func:`_checked_schedule`.
+    their construction over every state of a level.  A batch of the wrong
+    length raises: zipping it with the residuals would pair schedules with
+    the wrong states.
     """
     build = getattr(scheduler, "episode_schedule_batch", None)
     if build is not None:
@@ -344,11 +347,22 @@ def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
     else:
         schedules = [scheduler.episode_schedule(residual, p, c)
                      for residual in residuals]
-    for residual, schedule in zip(residuals, schedules):
+    _check_row_count(len(schedules), len(residuals))
+    for schedule in schedules:
         if not isinstance(schedule, EpisodeSchedule):
             raise SchedulingError(
                 f"scheduler returned {type(schedule).__name__}, "
                 "expected EpisodeSchedule")
+    return schedules
+
+
+def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
+                             residuals: Sequence[float], p: int,
+                             c: float) -> List[EpisodeSchedule]:
+    """:func:`_schedule_list`, each schedule passing exactly the checks of
+    :func:`_checked_schedule`."""
+    schedules = _schedule_list(scheduler, residuals, p, c)
+    for residual, schedule in zip(residuals, schedules):
         try:
             schedule.validate_for_lifespan(residual, require_exact=False)
         except InvalidScheduleError as exc:
@@ -358,15 +372,24 @@ def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
     return schedules
 
 
+def _check_row_count(rows: int, residuals: int) -> None:
+    if rows != residuals:
+        raise SchedulingError(f"scheduler returned {rows} episode-schedules "
+                              f"for {residuals} residual lifespans")
+
+
 #: Most periods one array pass of :func:`guaranteed_adaptive_work` holds.
 #: Blocks are whole states, so a single longer schedule is a block alone.
 _BLOCK_PERIODS = 1 << 16
 
 
-def _state_blocks(counts: np.ndarray, limit: int = _BLOCK_PERIODS):
+def _state_blocks(counts: np.ndarray, limit: Optional[int] = None):
     """``(start, stop)`` runs of consecutive states, each run holding at
-    most ``limit`` periods (or one state that alone holds more).  The batch
-    simulator blocks its replications' events the same way."""
+    most ``limit`` periods (default :data:`_BLOCK_PERIODS`, read at call
+    time), or one state that alone holds more.  The batch simulator blocks
+    its replications' events the same way."""
+    if limit is None:
+        limit = _BLOCK_PERIODS
     start = total = 0
     for i, n in enumerate(counts.tolist()):
         if total and total + n > limit:
@@ -377,17 +400,141 @@ def _state_blocks(counts: np.ndarray, limit: int = _BLOCK_PERIODS):
         yield start, len(counts)
 
 
+def _row_layout(counts: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """Where each state's row of ``counts[state]`` periods goes in a
+    :class:`_ScheduleRows` layout: ``states`` (the state of each laid-out
+    row) and the :func:`_state_blocks` blocks, count-sorted inside each."""
+    blocks = list(_state_blocks(counts))
+    states = np.arange(counts.size)
+    for lo, hi in blocks:
+        states[lo:hi] = lo + np.argsort(counts[lo:hi], kind="stable")
+    return states, blocks
+
+
+class _ScheduleRows:
+    """The episode-schedules of a batch of states as rows of one read-only
+    flat period array.
+
+    Row ``k`` is the schedule of state ``states[k]``: ``counts[k]`` periods
+    from ``starts[k]`` on.  Rows are laid out block by block (``blocks``,
+    ``(lo, hi)`` row ranges that each hold the consecutive states
+    ``lo..hi-1``, cut by :func:`_state_blocks`) and sorted by period count
+    inside each block (:func:`_row_layout`), so a block is one
+    :class:`_Rows` pass over a slice of :attr:`periods`, with nothing
+    repacked.
+    """
+
+    __slots__ = ("periods", "counts", "states", "blocks", "starts")
+
+    def __init__(self, periods: np.ndarray, counts: np.ndarray,
+                 states: np.ndarray, blocks: List[Tuple[int, int]]):
+        self.periods = periods
+        self.counts = counts
+        self.states = states
+        self.blocks = blocks
+        self.starts = _offsets(counts)
+
+    @classmethod
+    def pack(cls, schedules: Sequence[EpisodeSchedule]) -> "_ScheduleRows":
+        """The rows of ``schedules`` (one per state), copied into the layout."""
+        counts = _period_counts(schedules)
+        states, blocks = _row_layout(counts)
+        periods = np.concatenate([np.empty(0)] + [schedules[i].periods
+                                                  for i in states.tolist()])
+        periods.setflags(write=False)
+        return cls(periods, counts[states], states, blocks)
+
+    def schedules(self) -> List[EpisodeSchedule]:
+        """One read-only view of :attr:`periods` per state, in state order."""
+        out: List[Optional[EpisodeSchedule]] = [None] * self.counts.size
+        view = EpisodeSchedule._from_readonly_view
+        for state, start, count in zip(self.states.tolist(),
+                                       self.starts.tolist(),
+                                       self.counts.tolist()):
+            out[state] = view(self.periods[start:start + count])
+        return out  # type: ignore[return-value]
+
+
+#: A run of rows holding at least this many rows per distinct count is
+#: accumulated count by count, with no padding.
+_ROWS_PER_COUNT = 8
+
+
+def _row_prefix_sums(arrays: Sequence[np.ndarray], counts: np.ndarray,
+                     starts: np.ndarray) -> List[np.ndarray]:
+    """Row-wise ``np.add.accumulate`` of flat arrays laid out as ``counts``.
+
+    A prefix sum is sequential, so a row padded with trailing zeros keeps
+    its own.  Adjacent rows whose counts share a bit length form a run.  A
+    run of many rows per count (at least :data:`_ROWS_PER_COUNT`, as in a
+    Monte-Carlo level) is accumulated one ``(rows, count)`` view at a
+    time; any other run is padded to one matrix, at most twice its
+    periods, and accumulated in one pass per array.
+    """
+    outs = [np.empty_like(values) for values in arrays]
+    if not counts.size:
+        return outs
+    change = np.ones(counts.size, dtype=bool)
+    np.not_equal(counts[1:], counts[:-1], out=change[1:])
+    groups = np.flatnonzero(change)
+    bits = np.frexp(counts[groups])[1]
+    change = np.ones(groups.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=change[1:])
+    runs = [*np.flatnonzero(change).tolist(), groups.size]
+    firsts = [*groups.tolist(), counts.size]
+    begins = [*starts[groups].tolist(), arrays[0].size]
+    widths = counts[groups].tolist()
+    for g0, g1 in zip(runs[:-1], runs[1:]):
+        if firsts[g1] - firsts[g0] >= _ROWS_PER_COUNT * (g1 - g0) or g1 - g0 == 1:
+            for g in range(g0, g1):
+                if widths[g]:
+                    span = slice(begins[g], begins[g + 1])
+                    for values, out in zip(arrays, outs):
+                        np.add.accumulate(values[span].reshape(-1, widths[g]),
+                                          axis=1,
+                                          out=out[span].reshape(-1, widths[g]))
+            continue
+        keep = np.arange(max(widths[g0:g1])) < counts[firsts[g0]:firsts[g1], None]
+        padded = np.empty(keep.shape)
+        span = slice(begins[g0], begins[g1])
+        for values, out in zip(arrays, outs):
+            padded.fill(0.0)
+            padded[keep] = values[span]
+            np.add.accumulate(padded, axis=1, out=padded)
+            out[span] = padded[keep]
+    return outs
+
+
+def _row_sums(values: np.ndarray, counts: np.ndarray,
+              starts: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.add.reduce`` of a flat array laid out as ``counts``.
+
+    ``np.add.reduce`` of a row is ``0.0`` plus numpy's pairwise sum of its
+    periods, and so is ``np.add.reduceat`` over the row with a ``0.0`` put
+    in front of it (a bare ``reduceat`` starts from the first period and
+    differs in the last bit): one zero-led ``reduceat`` sums every row.
+    """
+    heads = starts + np.arange(counts.size)
+    led = np.zeros(heads.size + values.size)
+    body = np.ones(led.size, dtype=bool)
+    body[heads] = False
+    led[body] = values
+    return np.add.reduceat(led, heads)
+
+
 class _Rows:
     """Per-period sums of schedules laid out end to end in one flat array.
 
-    Row ``r`` holds ``counts[r]`` periods from ``starts[r]`` on.  Rows of one
-    period count are adjacent, so each count's rows form one ``(rows, n)``
-    matrix view, and a ``cumsum`` or ``sum`` along its rows is the 1-D one
-    of each row, bit for bit, with no row padded: ``finish`` (``T_j``)
-    equals each schedule's ``finish_times``, ``total`` (only ``totals``) its
+    Row ``r`` holds ``counts[r]`` periods from ``starts[r]`` on.  Every sum
+    is the 1-D one of each row, bit for bit: ``finish`` (``T_j``) equals
+    each schedule's ``finish_times``, ``total`` (only ``totals``) its
     ``total_length``, and with a set-up cost ``c``, ``running`` (work
     through period ``j``) and ``uninterrupted`` its prefix sums of
-    ``t_j ⊖ c`` and ``work_if_uninterrupted``.
+    ``t_j ⊖ c`` and ``work_if_uninterrupted``.  Prefix sums take a padded
+    pass per bit length of the counts, or one pass per count where rows of
+    a count are many (:func:`_row_prefix_sums`), so rows sorted by count
+    take the fewest; totals take one zero-led ``reduceat``
+    (:func:`_row_sums`).
     """
 
     def __init__(self, periods: np.ndarray, counts: np.ndarray,
@@ -395,27 +542,15 @@ class _Rows:
         self.periods = periods
         self.counts = counts
         self.starts = starts = _offsets(counts)
-        self.finish = np.empty_like(periods)
         if totals:
-            self.total = np.empty(counts.size)
-        if c is not None:
-            works = np.maximum(periods - c, 0.0)
-            self.running = np.empty_like(works)
-            self.uninterrupted = np.empty(counts.size)
-        edges = [*np.flatnonzero(np.diff(counts, prepend=-1)).tolist(), counts.size]
-        offsets = starts.tolist()
-        for first, stop in zip(edges[:-1], edges[1:]):
-            n = int(counts[first])
-            span = slice(offsets[first], offsets[first] + (stop - first) * n)
-            matrix = periods[span].reshape(-1, n)
-            np.add.accumulate(matrix, axis=1, out=self.finish[span].reshape(-1, n))
-            if totals:
-                self.total[first:stop] = np.add.reduce(matrix, axis=1)
-            if c is not None:
-                matrix = works[span].reshape(-1, n)
-                np.add.accumulate(matrix, axis=1,
-                                  out=self.running[span].reshape(-1, n))
-                self.uninterrupted[first:stop] = np.add.reduce(matrix, axis=1)
+            self.total = _row_sums(periods, counts, starts)
+        if c is None:
+            (self.finish,) = _row_prefix_sums([periods], counts, starts)
+            return
+        works = np.maximum(periods - c, 0.0)
+        self.uninterrupted = _row_sums(works, counts, starts)
+        self.finish, self.running = _row_prefix_sums([periods, works], counts,
+                                                     starts)
 
     @classmethod
     def of(cls, schedules: Sequence[EpisodeSchedule], counts: np.ndarray,
@@ -428,18 +563,75 @@ class _Rows:
         return self
 
 
-class _Block:
-    """A block of referee states as :class:`_Rows`: per period ``children``
-    (``residual − T_j``) and, ``with_work``, ``banked`` (work banked before
-    period ``j``); per row ``uninterrupted``, ``with_work``."""
+def _level_rows(scheduler: AdaptiveSchedulerProtocol, residuals: np.ndarray,
+                p: int, c: float) -> _ScheduleRows:
+    """The referee's rows of one level, one schedule per residual.
 
-    def __init__(self, schedules: Sequence[EpisodeSchedule],
-                 residuals: np.ndarray, state_counts: np.ndarray, c: float,
-                 *, with_work: bool):
-        self.state_counts = state_counts
-        sums = _Rows.of(schedules, state_counts, c if with_work else None)
-        self.rows, self.counts, self.starts = sums.rows, sums.counts, sums.starts
-        self.children = np.repeat(residuals[self.rows], self.counts) - sums.finish
+    Schedulers with an array builder (``_episode_rows``: the guideline and
+    fixed-period schedulers) lay the level out themselves; any other
+    scheduler's schedules are packed into the same layout.  The flat array
+    is checked once here: one non-empty row per residual, every period
+    finite and positive.  Each row's length is checked per block, by
+    :class:`_Block`.
+    """
+    build = getattr(scheduler, "_episode_rows", None)
+    if build is None:
+        rows = _ScheduleRows.pack(_schedule_list(scheduler, residuals.tolist(),
+                                                 p, c))
+    else:
+        rows = build(residuals.tolist(), p, c)
+    _check_row_count(rows.counts.size, residuals.size)
+    _check_nonempty(rows.counts)
+    periods = rows.periods
+    valid = np.isfinite(periods) & (periods > 0.0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        row = int(np.searchsorted(rows.starts, bad, side="right")) - 1
+        raise SchedulingError(
+            f"scheduler produced an inadmissible schedule for residual "
+            f"{float(residuals[rows.states[row]])!r}: period lengths must be "
+            f"finite and positive, got {float(periods[bad])!r}")
+    return rows
+
+
+def _check_lengths(totals: np.ndarray, residuals: np.ndarray,
+                   states: np.ndarray) -> None:
+    """``validate_for_lifespan(require_exact=False)`` of every row at once:
+    a total may exceed its residual only within the same tolerances.  The
+    first state that fails raises."""
+    over = (totals > residuals) & ~(np.abs(totals - residuals) <= np.maximum(
+        DEFAULT_REL_TOL * np.maximum(np.abs(totals), np.abs(residuals)), 1e-6))
+    if over.any():
+        bad = np.flatnonzero(over)
+        row = int(bad[np.argmin(states[bad])])
+        residual, total = float(residuals[row]), float(totals[row])
+        raise SchedulingError(
+            f"scheduler produced an inadmissible schedule for residual "
+            f"{residual!r}: schedule length {total!r} exceeds the residual "
+            f"lifespan {residual!r}")
+
+
+class _Block:
+    """Block ``lo:hi`` of a level's :class:`_ScheduleRows` as :class:`_Rows`:
+    per period ``children`` (``residual − T_j``) and, ``with_work``,
+    ``banked`` (work banked before period ``j``); per row ``uninterrupted``,
+    ``with_work``.  With ``check``, every row's length is checked against
+    its residual."""
+
+    def __init__(self, rows: _ScheduleRows, lo: int, hi: int,
+                 residuals: np.ndarray, c: float, *, with_work: bool,
+                 check: bool = False):
+        self.lo = lo
+        self.states = rows.states[lo:hi]
+        self.counts = counts = rows.counts[lo:hi]
+        first = int(rows.starts[lo])
+        sums = _Rows(rows.periods[first:first + int(counts.sum())], counts,
+                     c if with_work else None, totals=check)
+        self.starts = sums.starts
+        own = residuals[self.states]
+        if check:
+            _check_lengths(sums.total, own, self.states)
+        self.children = np.repeat(own, counts) - sums.finish
         if with_work:
             self.uninterrupted = sums.uninterrupted
             # Banked before period j = running sum through period j - 1.
@@ -449,7 +641,10 @@ class _Block:
 
     def children_in_state_order(self) -> np.ndarray:
         """:attr:`children` with the rows back in state order."""
-        shift = np.repeat(_offsets(self.state_counts)[self.rows] - self.starts,
+        rows = self.states - self.lo
+        state_counts = np.empty_like(self.counts)
+        state_counts[rows] = self.counts
+        shift = np.repeat(_offsets(state_counts)[rows] - self.starts,
                           self.counts)
         ordered = np.empty_like(self.children)
         ordered[np.arange(shift.size) + shift] = self.children
@@ -477,10 +672,20 @@ def _first_reached(keys: np.ndarray) -> np.ndarray:
 def _period_counts(schedules: Sequence[EpisodeSchedule]) -> np.ndarray:
     counts = np.fromiter((schedule.num_periods for schedule in schedules),
                          dtype=np.int64, count=len(schedules))
+    _check_nonempty(counts)
+    return counts
+
+
+def _check_nonempty(counts: np.ndarray) -> None:
     if counts.size and counts.min() < 1:
         raise SchedulingError("scheduler returned an episode-schedule "
                               "with no periods")
-    return counts
+
+
+def _check_grain(residual_grain: float) -> None:
+    if not (residual_grain > 0.0 and math.isfinite(residual_grain)):
+        raise ValueError(f"residual_grain must be positive and finite, "
+                         f"got {residual_grain!r}")
 
 
 def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
@@ -498,19 +703,22 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
       option from level ``q`` lands on level ``q − 1``, so one downward
       discovery sweep followed by one upward evaluation sweep visits each
       state exactly once;
-    * per level, all episode-schedules are built through one
-      ``episode_schedule_batch`` call when the scheduler provides it (the
-      guideline schedulers share one backward prefix across the batch);
+    * per level, all episode-schedules are built as one read-only flat
+      period array (:class:`_ScheduleRows`): by the scheduler's array
+      builder when it has one (the guideline schedulers share one backward
+      prefix across the batch), else packed from its
+      ``episode_schedule_batch`` list; the flat array is checked once per
+      level and every row's length once per block;
     * each sweep handles a level in one array pass per block of whole
-      states holding at most :data:`_BLOCK_PERIODS` periods: the children
-      of every state of the block at once, one ``searchsorted`` for their
-      continuation values on the level below, and one
-      ``np.minimum.reduceat`` for the adversary's minimisation over
-      "interrupt at the last instant of period j" of every state.  Period
-      prefix sums are row-sequential ``cumsum`` passes (the reference's
-      ``+=`` order), so every value is bit-identical to the per-state
-      evaluation, and the children are recomputed in the upward sweep
-      rather than kept, so memory stays bounded by a block.
+      states holding at most :data:`_BLOCK_PERIODS` periods, the blocks
+      the rows are laid out in: the children of every state of the block
+      at once, one ``searchsorted`` for their continuation values on the
+      level below, and one ``np.minimum.reduceat`` for the adversary's
+      minimisation over "interrupt at the last instant of period j" of
+      every state.  Period prefix sums are row-sequential (the reference's
+      ``+=`` order, see :class:`_Rows`), so every value is bit-identical to
+      the per-state evaluation, and the children are recomputed in the
+      upward sweep rather than kept, so memory stays bounded by a block.
 
     States are deduplicated exactly like the reference memo: levels
     ``q >= 1`` on the residual rounded to ``residual_grain`` (keeping the
@@ -520,6 +728,7 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     magnitude faster than the reference (see
     ``benchmarks/results/referee_speedup.*``).
     """
+    _check_grain(residual_grain)
     c = params.setup_cost
     p_max = params.max_interrupts
     lifespan = params.lifespan
@@ -539,20 +748,16 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     # first-reach order.
     # ------------------------------------------------------------------
     levels: List[np.ndarray] = [np.empty(0)] * (p_max + 1)
-    schedules: List[List[EpisodeSchedule]] = [[] for _ in range(p_max + 1)]
-    counts: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * (p_max + 1)
+    rows: List[Optional[_ScheduleRows]] = [None] * (p_max + 1)
 
     levels[p_max] = np.array([lifespan], dtype=float)
     for q in range(p_max, 0, -1):
-        schedules[q] = _checked_schedules_batch(scheduler, levels[q].tolist(),
-                                                q, c)
-        counts[q] = _period_counts(schedules[q])
+        rows[q] = _level_rows(scheduler, levels[q], q, c)
         found_keys: List[np.ndarray] = []
         found: List[np.ndarray] = []
-        for lo, hi in _state_blocks(counts[q]):
-            children = _Block(schedules[q][lo:hi], levels[q][lo:hi],
-                              counts[q][lo:hi], c,
-                              with_work=False).children_in_state_order()
+        for lo, hi in rows[q].blocks:
+            children = _Block(rows[q], lo, hi, levels[q], c, with_work=False,
+                              check=True).children_in_state_order()
             alive = children[children > 0.0]
             keys = lookup_keys(alive, q - 1)
             first = _first_reached(keys)
@@ -566,13 +771,12 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     # ------------------------------------------------------------------
     # Phase 2: evaluate upwards from level 0.
     # ------------------------------------------------------------------
-    schedules[0] = _checked_schedules_batch(scheduler, levels[0].tolist(), 0, c)
-    counts[0] = _period_counts(schedules[0])
+    rows[0] = _level_rows(scheduler, levels[0], 0, c)
     for q in range(0, p_max + 1):
         values = np.empty(levels[q].size)
-        for lo, hi in _state_blocks(counts[q]):
-            block = _Block(schedules[q][lo:hi], levels[q][lo:hi],
-                           counts[q][lo:hi], c, with_work=True)
+        for lo, hi in rows[q].blocks:
+            block = _Block(rows[q], lo, hi, levels[q], c, with_work=True,
+                           check=q == 0)
             block_values = block.uninterrupted
             if q > 0:
                 # Adversary options: work banked before period j plus the
@@ -584,7 +788,7 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
                     below_keys, lookup_keys(children[alive], q - 1))]
                 block_values = np.minimum(block_values, np.minimum.reduceat(
                     block.banked + continuation, block.starts))
-            values[lo + block.rows] = block_values
+            values[block.states] = block_values
         # Sorted lookup keys of this level for the level above.
         keys = lookup_keys(levels[q], q)
         order = np.argsort(keys, kind="stable")

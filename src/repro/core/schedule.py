@@ -73,34 +73,16 @@ class EpisodeSchedule:
         self._finish_times = None
 
     @classmethod
-    def from_validated_array(cls, periods: np.ndarray) -> "EpisodeSchedule":
-        """Wrap an array the caller guarantees to be valid (positive, finite).
-
-        Used by the batch backends, which assemble thousands of schedules
-        from already-validated shared prefixes; skipping the per-element
-        re-validation keeps that path array-speed.  The array is copied
-        into a read-only float buffer, so later mutation of the input
-        cannot corrupt the schedule.
-        """
-        self = cls.__new__(cls)
-        arr = np.array(periods, dtype=float)
-        arr.setflags(write=False)
-        self._periods = arr
-        self._total_length = None
-        self._finish_times = None
-        return self
-
-    @classmethod
     def _from_readonly_view(cls, view: np.ndarray,
                             total_length: Optional[float] = None) -> "EpisodeSchedule":
         """Wrap a 1-D float view of an already read-only buffer (no copy).
 
         Internal constructor for the batch assembly paths, which carve
-        tens of thousands of (mostly single-period) schedules out of one
-        shared array per call; the caller guarantees validity and that the
-        base buffer is read-only, so neither a copy nor a ``setflags`` is
-        needed per schedule.  A caller that already summed the periods
-        (bit for bit as :attr:`total_length` would) may pass the sum.
+        whole batches of schedules out of one shared array per call; the
+        caller guarantees validity and that the base buffer is read-only,
+        so neither a copy nor a ``setflags`` is needed per schedule.  A
+        caller that already summed the periods (bit for bit as
+        :attr:`total_length` would) may pass the sum.
         """
         self = cls.__new__(cls)
         self._periods = view

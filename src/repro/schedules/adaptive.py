@@ -36,6 +36,7 @@ import numpy as np
 
 from ..analysis import bounds
 from ..core.exceptions import SchedulingError
+from ..core.game import _offsets, _row_layout, _ScheduleRows
 from ..core.schedule import EpisodeSchedule
 from .base import AdaptiveScheduler
 
@@ -80,82 +81,123 @@ class _BackwardPrefix:
         self.capped = capped              # max_periods reached while extending
 
 
-def _assemble_from_prefix(scheduler, residuals, p: int, c: float,
+def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
                           state: Optional[_BackwardPrefix],
-                          max_periods: int) -> List[EpisodeSchedule]:
-    """Slice one shared backward prefix into per-residual episode-schedules.
+                          max_periods: int) -> _ScheduleRows:
+    """Lay out one batch of episode-schedules from one shared backward prefix.
 
-    Residuals the prefix cannot serve bit-identically — shorter than the
-    full tail, hitting the ``max_periods`` cap, or non-positive — fall back
-    to the scalar ``episode_schedule`` (which also raises the scalar error
-    messages), so the result is always float-for-float what a per-residual
-    loop would have produced.
+    Read backwards, every row the prefix serves is a prefix of the placement
+    order ``short × tail, body_t[0], body_t[1], ...`` closed by its own
+    front period; read forwards it is that front followed by a suffix of
+    the reversed placement order.  A single long period is a bare front; a
+    row covered by the tail alone is a short front and ``tail_count - 1``
+    tail periods; a front sliver merges into its neighbour, which becomes
+    the front.  The fronts and suffix lengths are worked out for the whole
+    batch at once, and each block of the
+    :class:`~repro.core.game._ScheduleRows` layout takes its suffixes in
+    one masked copy of the reversed placement order.  Residuals the prefix
+    cannot serve bit-identically — shorter than the full tail, hitting the
+    ``max_periods`` cap, or non-positive — fall back to the scalar
+    ``episode_schedule`` (which also raises the scalar error messages), so
+    every row is float-for-float what a per-residual loop would have
+    produced.
     """
-    values = [float(x) for x in residuals]
-    out: List[Optional[EpisodeSchedule]] = [None] * len(values)
-    vec_idx: List[int] = []
-    single_idx: List[int] = []
-    for i, L in enumerate(values):
-        if L > 0.0 and (L <= 2.0 * c or p == 0 or c == 0.0):
-            # The scalar short-residual / exhausted-adversary / zero-cost
-            # branches all emit one long period; batched below.
-            single_idx.append(i)
-        elif (not L > 0.0 or state is None or state.capped
-              or L < state.tail_end):
-            out[i] = scheduler.episode_schedule(L, p, c)
-        elif L == state.tail_end:
-            # The tail alone covers the residual; the body loop never runs.
-            out[i] = EpisodeSchedule.from_validated_array(
-                np.full(state.tail_count, state.short))
-        else:
-            vec_idx.append(i)
-    if single_idx:
-        # One shared read-only buffer; every single-period schedule is a
-        # zero-copy view into it.
-        singles = np.asarray([values[i] for i in single_idx])
-        singles.setflags(write=False)
-        for j, i in enumerate(single_idx):
-            out[i] = EpisodeSchedule._from_readonly_view(singles[j:j + 1])
-    if not vec_idx:
-        return out  # type: ignore[return-value]
+    lifespans = np.asarray(values, dtype=float).reshape(-1)
+    n = lifespans.size
+    positive = lifespans > 0.0
+    single = positive if p == 0 or c == 0.0 else positive & (lifespans <= 2.0 * c)
+    front = lifespans.copy()
+    suffix = np.zeros(n, dtype=np.int64)  # periods after the front
+    scalar = ~single
+    placement = np.empty(0)               # reversed placement order
+    if state is not None and not state.capped:
+        body_t = np.asarray(state.body_t)
+        placement = np.concatenate([body_t[::-1],
+                                    np.full(state.tail_count, state.short)])
+        tail_only = scalar & positive & (lifespans == state.tail_end)
+        front[tail_only] = state.short
+        suffix[tail_only] = state.tail_count - 1
+        scalar &= ~tail_only
+        rows = np.flatnonzero(scalar & (lifespans > state.tail_end))
+        if rows.size and body_t.size:
+            placed_before = np.empty(body_t.size)
+            placed_before[0] = state.tail_end
+            placed_before[1:] = state.body_placed[:-1]
+            # The scalar loop stops at the first body period with
+            # ``t >= remaining - 1e-12`` and lets the front period absorb
+            # the remainder; replaying the comparison element-for-element
+            # keeps the cut-off (and the front period's value)
+            # bit-identical.  The rows × body matrix is the batch's
+            # largest array, so it is shifted in place.
+            gap = lifespans[rows, None] - placed_before
+            gap -= 1e-12
+            stop = body_t >= gap
+            del gap
+            cut = stop.argmax(axis=1)
+            served = stop.any(axis=1) & (state.tail_count + cut + 1 <= max_periods)
+            del stop
+            rows, cut = rows[served], cut[served]
+            lead = lifespans[rows] - placed_before[cut]
+            merge = (lead < max(c, 1e-12) * 1e-6) & (state.tail_count + cut >= 1)
+            neighbour = np.where(cut > 0, body_t[cut - 1], state.short)
+            front[rows] = np.where(merge, neighbour + lead, lead)
+            suffix[rows] = state.tail_count + cut - merge
+            scalar[rows] = False
+    scalar_periods = {i: scheduler.episode_schedule(values[i], p, c).periods
+                      for i in np.flatnonzero(scalar).tolist()}
+    counts = 1 + suffix
+    for i, periods in scalar_periods.items():
+        counts[i] = periods.size
+        suffix[i] = periods.size - 1  # filled below, then overwritten
 
-    body_t = np.asarray(state.body_t)
-    if body_t.size == 0:
-        for i in vec_idx:
-            out[i] = scheduler.episode_schedule(values[i], p, c)
-        return out  # type: ignore[return-value]
-    placed_before = np.empty(body_t.size)
-    placed_before[0] = state.tail_end
-    placed_before[1:] = np.asarray(state.body_placed[:-1])
-    lifespans = np.asarray([values[i] for i in vec_idx])
-    # The scalar loop stops at the first body period with
-    # ``t >= remaining - 1e-12`` and lets the front period absorb the
-    # remainder; replaying the comparison element-for-element keeps the
-    # cut-off (and the front period's value) bit-identical.
-    remaining = lifespans[:, None] - placed_before[None, :]
-    stop = body_t[None, :] >= remaining - 1e-12
-    covered = stop.any(axis=1)
-    first_stop = stop.argmax(axis=1)
-
-    sliver = max(c, 1e-12) * 1e-6
-    tail = np.full(state.tail_count, state.short)
-    for row, i in enumerate(vec_idx):
-        j = int(first_stop[row])
-        if not covered[row] or state.tail_count + j + 1 > max_periods:
-            out[i] = scheduler.episode_schedule(values[i], p, c)
-            continue
-        periods = np.empty(state.tail_count + j + 1)
-        periods[0] = remaining[row, j]
-        periods[1:j + 1] = body_t[j - 1::-1] if j else ()
-        periods[j + 1:] = tail
-        if periods.size >= 2 and periods[0] < sliver:
-            periods[1] += periods[0]
-            periods = periods[1:]
-        out[i] = EpisodeSchedule.from_validated_array(periods)
-    return out  # type: ignore[return-value]
+    states, blocks = _row_layout(counts)
+    laid = counts[states]
+    row_starts = _offsets(laid)
+    flat = np.empty(int(laid.sum()))
+    for lo, hi in blocks:
+        own = states[lo:hi]
+        lengths = suffix[own]
+        width = int(lengths.max())
+        begin = int(row_starts[lo])
+        span = flat[begin:begin + int(laid[lo:hi].sum())]
+        if width:
+            source = placement[max(placement.size - width, 0):]
+            if source.size < width:  # only scalar rows are this long
+                source = np.concatenate([np.zeros(width - source.size), source])
+            after_front = np.ones(span.size, dtype=bool)
+            after_front[row_starts[lo:hi] - begin] = False
+            span[after_front] = np.broadcast_to(source, (own.size, width))[
+                np.arange(width) >= (width - lengths)[:, None]]
+        span[row_starts[lo:hi] - begin] = front[own]
+    at = np.empty(n, dtype=np.int64)
+    at[states] = row_starts
+    for i, periods in scalar_periods.items():
+        flat[at[i]:at[i] + periods.size] = periods
+    flat.setflags(write=False)
+    return _ScheduleRows(flat, laid, states, blocks)
 
 
-class EqualizingAdaptiveScheduler(AdaptiveScheduler):
+class _BackwardScheduler(AdaptiveScheduler):
+    """The batch construction both guideline schedulers share; each
+    extends its own prefix (``_ensure_prefix``) up to a batch's longest
+    residual."""
+
+    def _episode_rows(self, residual_lifespans, interrupts_remaining: int,
+                      setup_cost: float) -> _ScheduleRows:
+        """The batch as flat rows, the form the referee reads."""
+        p = int(interrupts_remaining)
+        c = float(setup_cost)
+        values = [float(x) for x in residual_lifespans]
+        # A non-finite residual takes the scalar path, which rejects it; it
+        # must not stretch the shared prefix towards max_periods first.
+        finite = [x for x in values if math.isfinite(x)]
+        state = None
+        if p > 0 and c > 0.0 and finite:
+            state = self._ensure_prefix(p, c, max(finite))
+        return _assemble_from_prefix(self, values, p, c, state, self.max_periods)
+
+
+class EqualizingAdaptiveScheduler(_BackwardScheduler):
     """Adaptive guideline built from the equalisation recurrence (Thm 4.3).
 
     Parameters
@@ -202,8 +244,9 @@ class EqualizingAdaptiveScheduler(AdaptiveScheduler):
         L = float(residual_lifespan)
         c = float(setup_cost)
         p = int(interrupts_remaining)
-        if L <= 0.0:
-            raise SchedulingError(f"residual lifespan must be positive, got {L!r}")
+        if not (L > 0.0 and math.isfinite(L)):
+            raise SchedulingError(
+                f"residual lifespan must be positive and finite, got {L!r}")
         if p == 0 or c == 0.0 or L <= 2.0 * c:
             # No adversary moves left, or the lifespan is too short for more
             # than (roughly) one productive period: one long period.
@@ -269,15 +312,12 @@ class EqualizingAdaptiveScheduler(AdaptiveScheduler):
         All residuals of one ``(interrupts_remaining, setup_cost)`` state
         share the backward tail/body prefix; each row only gets its own
         cut-off and front period.  Bit-identical to the scalar construction
-        (residuals the prefix cannot serve fall back to it).
+        (residuals the prefix cannot serve fall back to it): one read-only
+        view per residual of the buffer :meth:`_episode_rows` lays out.
         """
-        p = int(interrupts_remaining)
-        c = float(setup_cost)
-        values = [float(x) for x in residual_lifespans]
-        state = None
-        if p > 0 and c > 0.0 and values:
-            state = self._ensure_prefix(p, c, max(values))
-        return _assemble_from_prefix(self, values, p, c, state, self.max_periods)
+        return self._episode_rows(residual_lifespans, interrupts_remaining,
+                                  setup_cost).schedules()
+
 
     def _ensure_prefix(self, p: int, c: float,
                        limit: float) -> Optional[_BackwardPrefix]:
@@ -340,7 +380,7 @@ class EqualizingAdaptiveScheduler(AdaptiveScheduler):
         return bounds.adaptive_guarantee(lifespan, setup_cost, max_interrupts)
 
 
-class RosenbergAdaptiveScheduler(AdaptiveScheduler):
+class RosenbergAdaptiveScheduler(_BackwardScheduler):
     """The literal ``S_a^(p)[U]`` episode-schedules of Section 3.2.
 
     Parameters
@@ -388,8 +428,9 @@ class RosenbergAdaptiveScheduler(AdaptiveScheduler):
         L = float(residual_lifespan)
         c = float(setup_cost)
         p = int(interrupts_remaining)
-        if L <= 0.0:
-            raise SchedulingError(f"residual lifespan must be positive, got {L!r}")
+        if not (L > 0.0 and math.isfinite(L)):
+            raise SchedulingError(
+                f"residual lifespan must be positive and finite, got {L!r}")
         if p == 0 or c == 0.0 or L <= 2.0 * c:
             return EpisodeSchedule.single_period(L)
 
@@ -431,13 +472,8 @@ class RosenbergAdaptiveScheduler(AdaptiveScheduler):
     def episode_schedule_batch(self, residual_lifespans, interrupts_remaining: int,
                                setup_cost: float) -> List[EpisodeSchedule]:
         """Vectorized :meth:`episode_schedule` (see the equalizing variant)."""
-        p = int(interrupts_remaining)
-        c = float(setup_cost)
-        values = [float(x) for x in residual_lifespans]
-        state = None
-        if p > 0 and c > 0.0 and values:
-            state = self._ensure_prefix(p, c, max(values))
-        return _assemble_from_prefix(self, values, p, c, state, self.max_periods)
+        return self._episode_rows(residual_lifespans, interrupts_remaining,
+                                  setup_cost).schedules()
 
     def _ensure_prefix(self, p: int, c: float,
                        limit: float) -> Optional[_BackwardPrefix]:

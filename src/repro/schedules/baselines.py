@@ -23,12 +23,13 @@ run through either referee and through the discrete-event simulator.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
+from ..core import game
 from ..core.exceptions import SchedulingError
-from ..core.game import _BLOCK_PERIODS
+from ..core.game import _row_layout, _ScheduleRows
 from ..core.params import CycleStealingParams
 from ..core.schedule import EpisodeSchedule
 from .base import AdaptiveScheduler, NonAdaptiveScheduler
@@ -99,44 +100,54 @@ class FixedPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
 
     def episode_schedule_batch(self, residual_lifespans, interrupts_remaining: int,
                                setup_cost: float) -> List[EpisodeSchedule]:
-        """:meth:`episode_schedule` for many residual lifespans, in array passes.
+        """:meth:`episode_schedule` for many residual lifespans, in array
+        passes: one read-only view per residual of the buffer
+        :meth:`_episode_rows` lays out."""
+        return self._episode_rows(residual_lifespans, interrupts_remaining,
+                                  setup_cost).schedules()
+
+    def _episode_rows(self, residual_lifespans, interrupts_remaining: int,
+                      setup_cost: float) -> _ScheduleRows:
+        """The batch as flat rows, the form the referee reads.
 
         ``from_period_lengths`` lays out ``⌊L / t⌋`` chunks (at least one),
         subtracting ``t`` from the remaining lifespan chunk by chunk, and
         the last chunk absorbs what remains.  A row-wise
         ``np.subtract.accumulate`` of ``[L, t, t, ...]`` performs the same
-        subtractions in the same order, so each schedule is bit for bit the
-        scalar one.  Rows of similar length share a pass of at most
+        subtractions in the same order, so each row is bit for bit the
+        scalar schedule.  Rows are laid out by their chunk count (the
+        period count, unless rounding ends a row early), and rows of
+        similar length share a pass of at most
         :data:`~repro.core.game._BLOCK_PERIODS` padded periods (a longer
-        row is a pass alone), and a pass's schedules are read-only views
-        of one buffer.  Non-positive and non-finite residuals take the
-        scalar path, which raises its errors.
+        row is a pass alone).  Non-positive and non-finite residuals take
+        the scalar path, which raises its errors.
         """
         values = np.array([float(x) for x in residual_lifespans])
-        usable = (values > 0.0) & np.isfinite(values)
-        out: List[Optional[EpisodeSchedule]] = [None] * values.size
-        for i in np.flatnonzero(~usable).tolist():
-            out[i] = self.episode_schedule(float(values[i]), interrupts_remaining,
-                                           setup_cost)
-        rows = np.flatnonzero(usable)
-        chunks = np.maximum(values[rows] // self.period_length, 1.0).astype(np.intp)
-        by_chunks = np.argsort(chunks, kind="stable")
-        rows, chunks = rows[by_chunks], chunks[by_chunks]
-        bounds = [0]
-        for i, width in enumerate(chunks.tolist()):
-            if i > bounds[-1] and (i + 1 - bounds[-1]) * (width + 1) > _BLOCK_PERIODS:
-                bounds.append(i)
-        bounds.append(rows.size)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            if stop > start:
-                passed = self._chunk_pass(values[rows[start:stop]], chunks[start:stop])
-                for row, schedule in zip(rows[start:stop].tolist(), passed):
-                    out[row] = schedule
-        return out  # type: ignore[return-value]
+        for i in np.flatnonzero(~((values > 0.0) & np.isfinite(values))).tolist():
+            self.episode_schedule(float(values[i]), interrupts_remaining,
+                                  setup_cost)
+        chunks = np.maximum(values // self.period_length, 1.0).astype(np.int64)
+        states, blocks = _row_layout(chunks)
+        pieces, counts = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+        for lo, hi in blocks:
+            rows = states[lo:hi]
+            bounds = [0]
+            for i, width in enumerate(chunks[rows].tolist()):
+                if (i > bounds[-1]
+                        and (i + 1 - bounds[-1]) * (width + 1) > game._BLOCK_PERIODS):
+                    bounds.append(i)
+            bounds.append(rows.size)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                run = rows[start:stop]
+                flat, run_counts = self._chunk_pass(values[run], chunks[run])
+                pieces.append(flat)
+                counts.append(run_counts)
+        periods = np.concatenate(pieces)
+        periods.setflags(write=False)
+        return _ScheduleRows(periods, np.concatenate(counts), states, blocks)
 
-    def _chunk_pass(self, lifespans: np.ndarray,
-                    chunks: np.ndarray) -> List[EpisodeSchedule]:
-        """The schedules of rows sorted by chunk count, in one buffer."""
+    def _chunk_pass(self, lifespans: np.ndarray, chunks: np.ndarray):
+        """The periods (flat) and period counts of rows sorted by chunk count."""
         t = self.period_length
         width = int(chunks[-1])
         steps = np.full((lifespans.size, width + 1), t)
@@ -152,11 +163,7 @@ class FixedPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
         left = remaining[np.arange(lifespans.size), counts]
         absorb = np.flatnonzero(left > 0.0)
         periods[absorb, counts[absorb] - 1] += left[absorb]
-        flat = periods[keep]
-        flat.setflags(write=False)
-        ends = np.cumsum(counts).tolist()
-        return [EpisodeSchedule._from_readonly_view(flat[a:b])
-                for a, b in zip([0] + ends[:-1], ends)]
+        return periods[keep], counts
 
     def opportunity_schedule(self, params: CycleStealingParams) -> EpisodeSchedule:
         """Return fixed-size chunks covering the whole lifespan."""

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.exceptions import SimulationError
-from ..core.game import _state_blocks
+from ..core.game import _check_row_count, _state_blocks
 from ..workloads.owner_activity import pad_traces
 from .engine import CycleStealingSimulation
 from .metrics import SimulationReport, WorkstationMetrics
@@ -408,10 +408,11 @@ class _BatchKernel:
             residuals = [residual for residual, _key in items]
             build = getattr(scheduler, "episode_schedule_batch", None)
             if build is not None:
-                schedules = build(residuals, p_rem, setup)
+                schedules = list(build(residuals, p_rem, setup))
             else:
                 schedules = [scheduler.episode_schedule(residual, p_rem, setup)
                              for residual in residuals]
+            _check_row_count(len(schedules), len(residuals))
             for (_residual, memo_key), schedule in zip(items, schedules):
                 self._schedule_memo[memo_key] = schedule
 

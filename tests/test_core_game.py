@@ -149,15 +149,54 @@ class TestGuaranteedAdaptiveWork:
         params = CycleStealingParams(900.0, 1.0, 3)
         whole = guaranteed_adaptive_work(scheduler, params)
         monkeypatch.setattr(game, "_BLOCK_PERIODS", block_periods)
+        assert len(list(game._state_blocks(np.ones(block_periods + 1)))) == 2
+        assert guaranteed_adaptive_work(scheduler, params).hex() == whole.hex()
+
+    @pytest.mark.parametrize("block_periods", [7, 64])
+    @pytest.mark.parametrize("lifespan, setup_cost", [(300.0, 1.0), (900.0, 2.0)])
+    def test_blocks_are_stitched_in_state_order(self, monkeypatch, lifespan,
+                                                setup_cost, block_periods):
+        # Here the first-reached representative of a memo key differs
+        # between blocks: stitching the blocks in any other order moves the
+        # value by an ulp.
+        scheduler = EqualizingAdaptiveScheduler()
+        params = CycleStealingParams(lifespan, setup_cost, 3)
+        whole = guaranteed_adaptive_work(scheduler, params)
+        monkeypatch.setattr(game, "_BLOCK_PERIODS", block_periods)
         assert guaranteed_adaptive_work(scheduler, params).hex() == whole.hex()
 
     def test_empty_schedule_is_rejected(self):
         class Empty:
             def episode_schedule(self, residual, interrupts_remaining, setup_cost):
-                return EpisodeSchedule.from_validated_array(np.empty(0))
+                return EpisodeSchedule._from_readonly_view(np.empty(0))
 
         with pytest.raises(SchedulingError, match="no periods"):
             guaranteed_adaptive_work(Empty(), CycleStealingParams(50.0, 1.0, 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_period_is_rejected(self, bad):
+        class Broken:
+            def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+                periods = np.array([residual / 2, bad])
+                periods.setflags(write=False)
+                return EpisodeSchedule._from_readonly_view(periods)
+
+        with pytest.raises(SchedulingError, match="finite and positive"):
+            guaranteed_adaptive_work(Broken(), CycleStealingParams(50.0, 1.0, 1))
+
+    def test_schedule_longer_than_its_residual_is_rejected(self):
+        class TooLong:
+            def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+                return EpisodeSchedule([residual / 2, residual / 2 + 1e-3])
+
+        with pytest.raises(SchedulingError, match="exceeds the residual"):
+            guaranteed_adaptive_work(TooLong(), CycleStealingParams(50.0, 1.0, 1))
+        # Within the length tolerance, a schedule may overshoot.
+        class Overshoot(TooLong):
+            def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+                return EpisodeSchedule([residual / 2, residual / 2 + 1e-7])
+
+        guaranteed_adaptive_work(Overshoot(), CycleStealingParams(50.0, 1.0, 1))
 
     def test_memory_stays_bounded(self):
         # Children are recomputed per block rather than kept per state, and
@@ -171,3 +210,71 @@ class TestGuaranteedAdaptiveWork:
         finally:
             tracemalloc.stop()
         assert peak <= 17 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class _DropsLastSchedule:
+    """A guideline scheduler whose batches come back one schedule short."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+        return self.inner.episode_schedule(residual, interrupts_remaining,
+                                           setup_cost)
+
+    def episode_schedule_batch(self, residuals, interrupts_remaining, setup_cost):
+        return self.inner.episode_schedule_batch(
+            residuals, interrupts_remaining, setup_cost)[:-1]
+
+
+class TestShortScheduleBatch:
+    """A batch of the wrong length raises instead of pairing schedules with
+    the wrong states (it used to leave a state's value uninitialised)."""
+
+    @pytest.mark.parametrize("lifespan", [300.0, 1000.0, 2000.0, 4000.0])
+    @pytest.mark.parametrize("setup_cost", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_scheduler", [EqualizingAdaptiveScheduler,
+                                                RosenbergAdaptiveScheduler])
+    def test_list_batch_one_short_raises(self, make_scheduler, lifespan,
+                                         setup_cost, p):
+        scheduler = _DropsLastSchedule(make_scheduler())
+        with pytest.raises(SchedulingError, match="episode-schedules for"):
+            guaranteed_adaptive_work(
+                scheduler, CycleStealingParams(lifespan, setup_cost, p))
+
+    @pytest.mark.parametrize("make_scheduler", [EqualizingAdaptiveScheduler,
+                                                RosenbergAdaptiveScheduler,
+                                                lambda: FixedPeriodScheduler(40.0)])
+    def test_flat_rows_one_short_raise(self, monkeypatch, make_scheduler):
+        scheduler = make_scheduler()
+        build = scheduler._episode_rows
+        monkeypatch.setattr(scheduler, "_episode_rows",
+                            lambda residuals, p, c: build(residuals[:-1], p, c))
+        with pytest.raises(SchedulingError, match="episode-schedules for"):
+            guaranteed_adaptive_work(scheduler,
+                                     CycleStealingParams(1000.0, 1.0, 2))
+
+
+class TestResidualGrain:
+    @pytest.mark.parametrize("grain", [0.0, -1e-6, float("nan"),
+                                       float("inf")])
+    @pytest.mark.parametrize("referee", [guaranteed_adaptive_work,
+                                         game.guaranteed_adaptive_work_reference])
+    def test_grain_must_be_positive_and_finite(self, referee, grain):
+        # A zero or NaN grain casts every memo key to the same integer, and
+        # the referee used to return a wrong guaranteed work (927.5 for
+        # 926.07 here) with only a RuntimeWarning.
+        with pytest.raises(ValueError, match="residual_grain"):
+            referee(EqualizingAdaptiveScheduler(),
+                    CycleStealingParams(1000.0, 1.0, 2), residual_grain=grain)
+
+    def test_scheduler_guaranteed_work_passes_the_grain_on(self):
+        scheduler = EqualizingAdaptiveScheduler()
+        with pytest.raises(ValueError, match="residual_grain"):
+            scheduler.guaranteed_work(CycleStealingParams(1000.0, 1.0, 2),
+                                      residual_grain=0.0)
+        assert scheduler.guaranteed_work(
+            CycleStealingParams(1000.0, 1.0, 2), residual_grain=1e-6) == \
+            guaranteed_adaptive_work(scheduler, CycleStealingParams(1000.0, 1.0, 2))
+

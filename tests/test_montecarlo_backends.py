@@ -133,3 +133,25 @@ class TestSweepBackends:
     def test_sweep_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(self.GRID, replications=2, backend="bogus")
+
+
+@pytest.mark.parametrize("scheduler", ["equalizing-adaptive",
+                                       "rosenberg-adaptive", "fixed-period"])
+def test_batch_replay_rejects_a_short_schedule_batch(monkeypatch, scheduler):
+    # A batch one schedule short used to surface as a bare IndexError.
+    from repro.core.exceptions import SchedulingError
+    from repro.schedules import (EqualizingAdaptiveScheduler,
+                                 FixedPeriodScheduler,
+                                 RosenbergAdaptiveScheduler)
+
+    for cls in (EqualizingAdaptiveScheduler, RosenbergAdaptiveScheduler,
+                FixedPeriodScheduler):
+        monkeypatch.setattr(cls, "episode_schedule_batch",
+                            lambda self, *args, full=cls.episode_schedule_batch:
+                            full(self, *args)[:-1])
+    point = SweepPoint(index=0, lifespan=400.0, setup_cost=1.0,
+                       max_interrupts=2, scheduler=scheduler,
+                       adversary="poisson-owner")
+    with pytest.raises(SchedulingError, match="episode-schedules for"):
+        replicate_point(point, 20, base_seed=5, backend="batch")
+

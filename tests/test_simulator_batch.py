@@ -279,13 +279,28 @@ class TestEpisodeScheduleBatch:
         batch = scheduler.episode_schedule_batch([10.0, 20.0], 1, 1.0)
         assert [s.total_length for s in batch] == [10.0, 20.0]
 
-    def test_from_validated_array_is_readonly_copy(self):
-        source = np.array([1.0, 2.0, 3.0])
-        schedule = EpisodeSchedule.from_validated_array(source)
-        source[0] = 99.0
-        assert schedule[0] == 1.0
-        with pytest.raises(ValueError):
-            schedule.periods[0] = 5.0
+    @pytest.mark.parametrize("make_scheduler", [EqualizingAdaptiveScheduler,
+                                                RosenbergAdaptiveScheduler])
+    def test_batch_schedules_are_read_only_views(self, make_scheduler):
+        batch = make_scheduler().episode_schedule_batch(
+            [1.5, 40.0, 7.0, 300.0], 2, 1.0)
+        assert isinstance(batch, list) and len(batch) == 4
+        base = batch[0].periods.base
+        for schedule in batch:
+            assert schedule.periods.base is base
+            assert not schedule.periods.flags.writeable
+            with pytest.raises(ValueError):
+                schedule.periods[0] = 5.0
+
+    def test_short_batch_raises(self, monkeypatch):
+        # A batch one schedule short used to surface as a KeyError on an
+        # internal memo key.
+        full = EqualizingAdaptiveScheduler.episode_schedule_batch
+        monkeypatch.setattr(EqualizingAdaptiveScheduler, "episode_schedule_batch",
+                            lambda self, *args: full(self, *args)[:-1])
+        scenario = SCENARIO_FAMILIES["flaky"](seed=3)
+        with pytest.raises(SchedulingError, match="episode-schedules for"):
+            simulate_scenarios_batch([scenario], EqualizingAdaptiveScheduler())
 
 
 # ----------------------------------------------------------------------
