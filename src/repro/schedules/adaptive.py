@@ -147,28 +147,35 @@ def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
                       for i in np.flatnonzero(scalar).tolist()}
     counts = 1 + suffix
     for i, periods in scalar_periods.items():
-        counts[i] = periods.size
-        suffix[i] = periods.size - 1  # filled below, then overwritten
+        counts[i] = periods.size  # a placeholder suffix, overwritten below
 
     states, blocks = _row_layout(counts)
     laid = counts[states]
     row_starts = _offsets(laid)
     flat = np.empty(int(laid.sum()))
+    flat[row_starts] = front[states]
+    # Suffixes are copied a block at a time, in runs of rows whose lengths
+    # share a bit length (rows are count-sorted in a block), so no mask is
+    # more than twice the periods it selects.
+    lengths = laid - 1
+    bits = np.frexp(lengths)[1]
     for lo, hi in blocks:
-        own = states[lo:hi]
-        lengths = suffix[own]
-        width = int(lengths.max())
-        begin = int(row_starts[lo])
-        span = flat[begin:begin + int(laid[lo:hi].sum())]
-        if width:
+        new_run = np.ones(hi - lo, dtype=bool)
+        np.not_equal(bits[lo + 1:hi], bits[lo:hi - 1], out=new_run[1:])
+        edges = [*(lo + np.flatnonzero(new_run)).tolist(), hi]
+        for first, stop in zip(edges[:-1], edges[1:]):
+            width = int(lengths[stop - 1])
+            if not width:
+                continue
             source = placement[max(placement.size - width, 0):]
             if source.size < width:  # only scalar rows are this long
                 source = np.concatenate([np.zeros(width - source.size), source])
+            begin = int(row_starts[first])
+            span = flat[begin:begin + int(laid[first:stop].sum())]
             after_front = np.ones(span.size, dtype=bool)
-            after_front[row_starts[lo:hi] - begin] = False
-            span[after_front] = np.broadcast_to(source, (own.size, width))[
-                np.arange(width) >= (width - lengths)[:, None]]
-        span[row_starts[lo:hi] - begin] = front[own]
+            after_front[row_starts[first:stop] - begin] = False
+            span[after_front] = np.broadcast_to(source, (stop - first, width))[
+                np.arange(width) >= (width - lengths[first:stop])[:, None]]
     at = np.empty(n, dtype=np.int64)
     at[states] = row_starts
     for i, periods in scalar_periods.items():

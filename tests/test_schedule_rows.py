@@ -9,6 +9,8 @@ lays a whole batch out in array passes and must reproduce the scalar
 ``episode_schedule`` bit for bit in every branch of the assembly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,24 @@ class TestGuidelineBatchBranches:
         with pytest.raises(type(scalar.value)) as batch:
             scheduler.episode_schedule_batch([50.0, residual, 7.0], 2, 1.0)
         assert str(batch.value) == str(scalar.value)
+
+
+def test_one_long_row_among_many_singles_stays_small():
+    # One block can hold tens of thousands of one-period rows next to a
+    # row of thousands of periods; a suffix mask spanning the whole block
+    # (rows × longest row) took 324 MiB here.
+    scheduler = RosenbergAdaptiveScheduler()
+    residuals = [1.5] * 30_000 + [1e6]
+    scheduler.episode_schedule_batch([1e6], 4, 1.0)  # build the prefix first
+    tracemalloc.start()
+    try:
+        batch = scheduler.episode_schedule_batch(residuals, 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert batch[-1].periods.tobytes() == scheduler.episode_schedule(
+        1e6, 4, 1.0).periods.tobytes()
 
 
 def test_referee_rows_are_the_batch():
