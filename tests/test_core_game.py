@@ -200,8 +200,9 @@ class TestGuaranteedAdaptiveWork:
 
     def test_memory_stays_bounded(self):
         # Children are recomputed per block rather than kept per state, and
-        # no row is padded: the largest benchmark point stays under 17 MiB
-        # of traced allocations (a padded layout needs ~50 MiB).
+        # rows are padded at most to twice their length within a block: the
+        # largest benchmark point stays under 17 MiB of traced allocations
+        # (a level padded to its longest row needs ~50 MiB).
         params = CycleStealingParams(16000.0, 1.0, 4)
         tracemalloc.start()
         try:
