@@ -27,10 +27,11 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_chec
 
 import numpy as np
 
-from .arithmetic import DEFAULT_REL_TOL, positive_subtraction
+from .arithmetic import positive_subtraction
 from .exceptions import InvalidScheduleError, SchedulingError
 from .params import CycleStealingParams
-from .schedule import EpisodeRecord, EpisodeSchedule, OpportunitySchedule
+from .schedule import (EpisodeRecord, EpisodeSchedule, OpportunitySchedule,
+                       exceeds_lifespan)
 from .work import episode_elapsed, episode_work
 
 __all__ = [
@@ -356,22 +357,6 @@ def _schedule_list(scheduler: AdaptiveSchedulerProtocol,
     return schedules
 
 
-def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
-                             residuals: Sequence[float], p: int,
-                             c: float) -> List[EpisodeSchedule]:
-    """:func:`_schedule_list`, each schedule passing exactly the checks of
-    :func:`_checked_schedule`."""
-    schedules = _schedule_list(scheduler, residuals, p, c)
-    for residual, schedule in zip(residuals, schedules):
-        try:
-            schedule.validate_for_lifespan(residual, require_exact=False)
-        except InvalidScheduleError as exc:
-            raise SchedulingError(
-                f"scheduler produced an inadmissible schedule for residual "
-                f"{residual!r}: {exc}") from exc
-    return schedules
-
-
 def _check_row_count(rows: int, residuals: int) -> None:
     if rows != residuals:
         raise SchedulingError(f"scheduler returned {rows} episode-schedules "
@@ -455,53 +440,32 @@ class _ScheduleRows:
         return out  # type: ignore[return-value]
 
 
-#: A run of rows holding at least this many rows per distinct count is
-#: accumulated count by count, with no padding.
-_ROWS_PER_COUNT = 8
-
-
 def _row_prefix_sums(arrays: Sequence[np.ndarray], counts: np.ndarray,
                      starts: np.ndarray) -> List[np.ndarray]:
     """Row-wise ``np.add.accumulate`` of flat arrays laid out as ``counts``.
 
     A prefix sum is sequential, so a row padded with trailing zeros keeps
-    its own.  Adjacent rows whose counts share a bit length form a run.  A
-    run of many rows per count (at least :data:`_ROWS_PER_COUNT`, as in a
-    Monte-Carlo level) is accumulated one ``(rows, count)`` view at a
-    time; any other run is padded to one matrix, at most twice its
-    periods, and accumulated in one pass per array.
+    its own.  Adjacent rows whose counts share a bit length form a run,
+    padded to one matrix of at most twice its periods and accumulated in
+    one pass per array; rows sorted by count take the fewest runs.
     """
     outs = [np.empty_like(values) for values in arrays]
     if not counts.size:
         return outs
+    bits = np.frexp(counts)[1]
     change = np.ones(counts.size, dtype=bool)
-    np.not_equal(counts[1:], counts[:-1], out=change[1:])
-    groups = np.flatnonzero(change)
-    bits = np.frexp(counts[groups])[1]
-    change = np.ones(groups.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=change[1:])
-    runs = [*np.flatnonzero(change).tolist(), groups.size]
-    firsts = [*groups.tolist(), counts.size]
-    begins = [*starts[groups].tolist(), arrays[0].size]
-    widths = counts[groups].tolist()
-    for g0, g1 in zip(runs[:-1], runs[1:]):
-        if firsts[g1] - firsts[g0] >= _ROWS_PER_COUNT * (g1 - g0) or g1 - g0 == 1:
-            for g in range(g0, g1):
-                if widths[g]:
-                    span = slice(begins[g], begins[g + 1])
-                    for values, out in zip(arrays, outs):
-                        np.add.accumulate(values[span].reshape(-1, widths[g]),
-                                          axis=1,
-                                          out=out[span].reshape(-1, widths[g]))
-            continue
-        keep = np.arange(max(widths[g0:g1])) < counts[firsts[g0]:firsts[g1], None]
+    firsts = [*np.flatnonzero(change).tolist(), counts.size]
+    begins = [*starts[firsts[:-1]].tolist(), arrays[0].size]
+    for r0, r1, b0, b1 in zip(firsts[:-1], firsts[1:], begins[:-1], begins[1:]):
+        widths = counts[r0:r1]
+        keep = np.arange(int(widths.max())) < widths[:, None]
         padded = np.empty(keep.shape)
-        span = slice(begins[g0], begins[g1])
         for values, out in zip(arrays, outs):
             padded.fill(0.0)
-            padded[keep] = values[span]
+            padded[keep] = values[b0:b1]
             np.add.accumulate(padded, axis=1, out=padded)
-            out[span] = padded[keep]
+            out[b0:b1] = padded[keep]
     return outs
 
 
@@ -531,10 +495,9 @@ class _Rows:
     ``total_length``, and with a set-up cost ``c``, ``running`` (work
     through period ``j``) and ``uninterrupted`` its prefix sums of
     ``t_j ⊖ c`` and ``work_if_uninterrupted``.  Prefix sums take a padded
-    pass per bit length of the counts, or one pass per count where rows of
-    a count are many (:func:`_row_prefix_sums`), so rows sorted by count
-    take the fewest; totals take one zero-led ``reduceat``
-    (:func:`_row_sums`).
+    pass per run of rows whose counts share a bit length
+    (:func:`_row_prefix_sums`), so rows sorted by count take the fewest;
+    totals take one zero-led ``reduceat`` (:func:`_row_sums`).
     """
 
     def __init__(self, periods: np.ndarray, counts: np.ndarray,
@@ -551,16 +514,6 @@ class _Rows:
         self.uninterrupted = _row_sums(works, counts, starts)
         self.finish, self.running = _row_prefix_sums([periods, works], counts,
                                                      starts)
-
-    @classmethod
-    def of(cls, schedules: Sequence[EpisodeSchedule], counts: np.ndarray,
-           c: Optional[float] = None, *, totals: bool = False) -> "_Rows":
-        """``schedules`` ordered by period count: row ``r`` is ``rows[r]``."""
-        rows = np.argsort(counts, kind="stable")
-        self = cls(np.concatenate([schedules[i].periods for i in rows.tolist()]),
-                   counts[rows], c, totals=totals)
-        self.rows = rows
-        return self
 
 
 def _level_rows(scheduler: AdaptiveSchedulerProtocol, residuals: np.ndarray,
@@ -596,11 +549,10 @@ def _level_rows(scheduler: AdaptiveSchedulerProtocol, residuals: np.ndarray,
 
 def _check_lengths(totals: np.ndarray, residuals: np.ndarray,
                    states: np.ndarray) -> None:
-    """``validate_for_lifespan(require_exact=False)`` of every row at once:
-    a total may exceed its residual only within the same tolerances.  The
-    first state that fails raises."""
-    over = (totals > residuals) & ~(np.abs(totals - residuals) <= np.maximum(
-        DEFAULT_REL_TOL * np.maximum(np.abs(totals), np.abs(residuals)), 1e-6))
+    """``validate_for_lifespan(require_exact=False)`` of every row at once
+    (:func:`~repro.core.schedule.exceeds_lifespan`): row ``k`` is state
+    ``states[k]``, and the first state that fails raises."""
+    over = exceeds_lifespan(totals, residuals)
     if over.any():
         bad = np.flatnonzero(over)
         row = int(bad[np.argmin(states[bad])])

@@ -35,6 +35,10 @@ from .exceptions import InvalidScheduleError
 
 __all__ = ["EpisodeSchedule", "EpisodeRecord", "OpportunitySchedule"]
 
+#: Absolute tolerance of the length test of
+#: :meth:`EpisodeSchedule.validate_for_lifespan` and :func:`exceeds_lifespan`.
+LENGTH_ABS_TOL: float = 1e-6
+
 
 class EpisodeSchedule:
     """An immutable sequence of period lengths for one episode.
@@ -283,7 +287,7 @@ class EpisodeSchedule:
     def validate_for_lifespan(self, lifespan: float,
                               *, require_exact: bool = True,
                               rel_tol: float = DEFAULT_REL_TOL,
-                              abs_tol: float = 1e-6) -> None:
+                              abs_tol: float = LENGTH_ABS_TOL) -> None:
         """Check that the schedule is admissible for a residual lifespan.
 
         Parameters
@@ -351,6 +355,16 @@ class EpisodeSchedule:
         if absorb_remainder and remaining > 0.0:
             kept[-1] += remaining
         return cls(kept)
+
+
+def exceeds_lifespan(totals: np.ndarray, lifespans: np.ndarray) -> np.ndarray:
+    """Element-wise, whether a schedule length exceeds its residual
+    lifespan beyond the default tolerances: the array form of the test
+    :meth:`EpisodeSchedule.validate_for_lifespan` makes with
+    ``require_exact=False`` (``total > L`` and not :func:`is_close`)."""
+    return (totals > lifespans) & ~(np.abs(totals - lifespans) <= np.maximum(
+        DEFAULT_REL_TOL * np.maximum(np.abs(totals), np.abs(lifespans)),
+        LENGTH_ABS_TOL))
 
 
 @dataclass(frozen=True)

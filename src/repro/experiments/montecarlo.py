@@ -69,10 +69,11 @@ import numpy as np
 
 from ..core.exceptions import InvalidScheduleError, SchedulingError
 from ..core.game import (
-    _checked_schedules_batch,
+    _check_lengths,
     _offsets,
-    _period_counts,
     _Rows,
+    _schedule_list,
+    _ScheduleRows,
     play_adaptive,
     play_nonadaptive,
 )
@@ -426,8 +427,9 @@ def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
     Mirrors :func:`repro.core.game.play_adaptive` step for step.  Level
     ``k`` holds every replication interrupted ``k`` times so far, so all of
     them have ``p - k`` interrupts left: their distinct residuals get their
-    validated schedules from one ``_checked_schedules_batch`` call and
-    their finish times and work tables from one row pass.  Every adversary
+    schedules from one ``episode_schedule_batch`` call, laid out as the
+    referee's rows, and their finish times, work tables and length check
+    from one row pass.  Every adversary
     is seeded with its absolute index and consulted with the event
     referee's arguments, so both backends consume identical randomness
     under any chunking; only the interrupted episodes' work values differ
@@ -447,12 +449,14 @@ def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
         if not alive.size:
             break
         values, state = np.unique(residual[alive], return_inverse=True)
-        schedules = _checked_schedules_batch(scheduler, values.tolist(), p, c)
-        level = _Rows.of(schedules, _period_counts(schedules), c, totals=True)
-        order = level.rows.tolist()
+        schedules = _schedule_list(scheduler, values.tolist(), p, c)
+        rows = _ScheduleRows.pack(schedules)
+        level = _Rows(rows.periods, rows.counts, c, totals=True)
+        _check_lengths(level.total, values[rows.states], rows.states)
+        order = rows.states.tolist()
         reps, _, times = _play_level(
             level, [schedules[i] for i in order], values[order].tolist(),
-            alive, _ranks(level.rows)[state], adversaries, p, c, works,
+            alive, _ranks(rows.states)[state], adversaries, p, c, works,
             interrupts, episodes)
         residual[reps] -= times
         alive = reps[residual[reps] > 0.0]

@@ -97,14 +97,14 @@ def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
     :class:`~repro.core.game._ScheduleRows` layout takes its suffixes in
     one masked copy of the reversed placement order.  Residuals the prefix
     cannot serve bit-identically — shorter than the full tail, hitting the
-    ``max_periods`` cap, or non-positive — fall back to the scalar
+    ``max_periods`` cap, non-positive or non-finite — fall back to the scalar
     ``episode_schedule`` (which also raises the scalar error messages), so
     every row is float-for-float what a per-residual loop would have
     produced.
     """
     lifespans = np.asarray(values, dtype=float).reshape(-1)
     n = lifespans.size
-    positive = lifespans > 0.0
+    positive = (lifespans > 0.0) & np.isfinite(lifespans)
     single = positive if p == 0 or c == 0.0 else positive & (lifespans <= 2.0 * c)
     front = lifespans.copy()
     suffix = np.zeros(n, dtype=np.int64)  # periods after the front

@@ -155,3 +155,25 @@ def test_batch_replay_rejects_a_short_schedule_batch(monkeypatch, scheduler):
     with pytest.raises(SchedulingError, match="episode-schedules for"):
         replicate_point(point, 20, base_seed=5, backend="batch")
 
+
+def test_batch_replay_checks_lengths_like_the_event_referee():
+    # The replay checks a level's schedule lengths on its flat rows, with
+    # the tolerances of the event referee's validate_for_lifespan.
+    from repro.core.exceptions import SchedulingError
+    from repro.core.schedule import EpisodeSchedule
+    from repro.experiments.montecarlo import _play_point_batch
+
+    class Overshoot:
+        def __init__(self, excess):
+            self.excess = excess
+
+        def episode_schedule(self, residual, interrupts_remaining, setup_cost):
+            return EpisodeSchedule([residual / 2, residual / 2 + self.excess])
+
+    point = SweepPoint(index=0, lifespan=400.0, setup_cost=1.0,
+                       max_interrupts=2, scheduler="equalizing-adaptive",
+                       adversary="poisson-owner")
+    with pytest.raises(SchedulingError, match="exceeds the residual"):
+        _play_point_batch(point, Overshoot(1e-3), 0, 8, 5)
+    works, _, _ = _play_point_batch(point, Overshoot(1e-7), 0, 8, 5)
+    assert len(works) == 8

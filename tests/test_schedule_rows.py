@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import game
-from repro.core.exceptions import SchedulingError
-from repro.core.schedule import EpisodeSchedule
+from repro.core.exceptions import InvalidScheduleError, SchedulingError
+from repro.core.schedule import EpisodeSchedule, exceeds_lifespan
 from repro.schedules import (
     EqualizingAdaptiveScheduler,
     FixedPeriodScheduler,
@@ -68,14 +68,20 @@ class TestRowSums:
         _assert_rows_match(rows, sums, c)
 
     @settings(deadline=None, max_examples=80)
-    @given(_COUNTS, st.sampled_from([None, 1.0]), st.randoms(use_true_random=False))
-    def test_unsorted_rows_through_of(self, counts, c, random):
+    @given(_COUNTS, st.sampled_from([None, 1.0]), st.sampled_from([64, 1 << 16]),
+           st.randoms(use_true_random=False))
+    def test_unsorted_rows_through_pack(self, counts, c, block_periods, random):
+        # The Monte-Carlo replay packs unsorted schedules into the
+        # referee's layout and sums the whole level in one _Rows.
         random.shuffle(counts)
         rows = _rows_of(counts, [10.0 ** random.uniform(-3, 4) for _ in counts])
         schedules = [EpisodeSchedule(row) for row in rows]
-        sums = game._Rows.of(schedules, np.array(counts), c, totals=True)
-        _assert_rows_match([rows[i] for i in sums.rows], sums, c)
-        for k, i in enumerate(sums.rows.tolist()):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "_BLOCK_PERIODS", block_periods)
+            packed = game._ScheduleRows.pack(schedules)
+        sums = game._Rows(packed.periods, packed.counts, c, totals=True)
+        _assert_rows_match([rows[i] for i in packed.states], sums, c)
+        for k, i in enumerate(packed.states.tolist()):
             assert sums.total[k] == schedules[i].total_length
 
     def test_unsorted_counts_directly(self):
@@ -90,6 +96,26 @@ class TestRowSums:
         sums = game._Rows(np.empty(0), np.empty(0, dtype=np.int64), 1.0,
                           totals=True)
         assert sums.finish.size == sums.total.size == sums.uninterrupted.size == 0
+
+
+def test_array_length_check_is_validate_for_lifespan():
+    # The referee and the replay check lengths on arrays; the verdict must
+    # be validate_for_lifespan's (require_exact=False) on every pair.
+    lifespans = np.array([1.0, 50.0, 1e4, 1e9, 0.5])
+    steps = np.array([-0.25, 0.0, 1e-12, 5e-7, 1e-6, 1.0000001e-6, 2e-6, 1e-3])
+    totals = (lifespans[:, None] * (1.0 + steps * 1e-3) + steps).ravel()
+    lifespans = np.repeat(lifespans, steps.size)
+    verdict = exceeds_lifespan(totals, lifespans)
+    for total, lifespan, over in zip(totals.tolist(), lifespans.tolist(),
+                                     verdict.tolist()):
+        schedule = EpisodeSchedule([total])
+        try:
+            schedule.validate_for_lifespan(lifespan, require_exact=False)
+        except InvalidScheduleError:
+            assert over, (total, lifespan)
+        else:
+            assert not over, (total, lifespan)
+    assert verdict.any() and not verdict.all()
 
 
 class TestRowLayout:
@@ -166,12 +192,16 @@ class TestGuidelineBatchBranches:
 
     @pytest.mark.parametrize("residual", [0.0, -1.0, float("nan"),
                                           float("inf")])
-    def test_bad_residual_raises_the_scalar_error(self, make_scheduler, residual):
+    # With no interrupts or no set-up cost every positive residual is one
+    # period, so the batch never builds a prefix to stop an infinite one.
+    @pytest.mark.parametrize("p, c", [(2, 1.0), (0, 1.0), (2, 0.0)])
+    def test_bad_residual_raises_the_scalar_error(self, make_scheduler,
+                                                  residual, p, c):
         scheduler = make_scheduler()
         with pytest.raises(Exception) as scalar:
-            scheduler.episode_schedule(residual, 2, 1.0)
+            scheduler.episode_schedule(residual, p, c)
         with pytest.raises(type(scalar.value)) as batch:
-            scheduler.episode_schedule_batch([50.0, residual, 7.0], 2, 1.0)
+            scheduler.episode_schedule_batch([50.0, residual, 7.0], p, c)
         assert str(batch.value) == str(scalar.value)
 
 
