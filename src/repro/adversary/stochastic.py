@@ -10,6 +10,7 @@ up) when the owner is merely busy rather than malicious.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..core.sampling import spawn_rng
@@ -25,7 +26,7 @@ class PoissonOwner(Adversary):
     Parameters
     ----------
     rate:
-        Expected number of reclaims per unit time (``> 0``).
+        Expected number of reclaims per unit time (positive and finite).
     seed:
         Seed for the internal NumPy generator.
     """
@@ -33,8 +34,8 @@ class PoissonOwner(Adversary):
     name = "poisson-owner"
 
     def __init__(self, rate: float, seed: Optional[int] = None):
-        if rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
+        if not (0.0 < rate < math.inf):
+            raise ValueError(f"rate must be positive and finite, got {rate!r}")
         self.rate = float(rate)
         self._rng = spawn_rng(seed)
 

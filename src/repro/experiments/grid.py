@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.exceptions import InvalidParameterError
 from ..core.params import CycleStealingParams
 from ..registry import ADVERSARIES, SCHEDULERS
@@ -43,8 +45,15 @@ def point_seed(base_seed: int, *coordinates) -> int:
 
     Uses SHA-256 of the ``repr`` of the inputs, so the value is identical
     across processes and Python invocations (unlike the built-in ``hash``,
-    which is salted per process).
+    which is salted per process).  A numpy integer coordinate hashes as the
+    Python ``int`` it equals: its ``repr`` depends on the numpy version
+    (``np.int64(3)`` under numpy 2, ``3`` before).
     """
+    for value in coordinates:
+        if isinstance(value, np.integer):
+            coordinates = tuple(int(c) if isinstance(c, np.integer) else c
+                                for c in coordinates)
+            break
     payload = repr((int(base_seed),) + tuple(coordinates)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF

@@ -100,6 +100,14 @@ class TestStochasticOwners:
         with pytest.raises(ValueError):
             PoissonOwner(rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), -1.0])
+    def test_poisson_rejects_rates_that_are_not_positive_and_finite(self, rate):
+        # A NaN rate never interrupts and an infinite one interrupts every
+        # episode at t = 0; neither is a Poisson owner.
+        with pytest.raises(ValueError, match="positive and finite"):
+            PoissonOwner(rate=rate, seed=1)
+
     def test_poisson_interrupts_inside_episode(self, schedule):
         owner = PoissonOwner(rate=10.0, seed=0)
         t = owner.choose_interrupt(schedule, 10.0, 1, 1.0)

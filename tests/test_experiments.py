@@ -40,6 +40,23 @@ class TestPointSeed:
         assert 0 <= s < 2**63
         np.random.default_rng(s)  # must be accepted as a seed
 
+    def test_numpy_integer_coordinates_hash_as_ints(self):
+        # Python-int coordinates keep their historical seeds.
+        assert point_seed(0, 3, 5) == 5364272953978610870
+        for kind in (np.int64, np.int32, np.uint16):
+            assert point_seed(0, kind(3), 5) == point_seed(0, 3, 5)
+            assert point_seed(0, "x", kind(5)) == point_seed(0, "x", 5)
+        assert point_seed(np.int64(7), 1, 2) == point_seed(7, 1, 2)
+
+    def test_numpy_point_index_keeps_replication_seeds(self):
+        point = dict(lifespan=400.0, setup_cost=1.0, max_interrupts=2,
+                     scheduler="equalizing-adaptive", adversary="poisson-owner")
+        plain = replicate_point(SweepPoint(index=3, **point), 50,
+                                backend="batch")
+        numpy_index = replicate_point(SweepPoint(index=np.int64(3), **point),
+                                      50, backend="batch")
+        assert numpy_index == plain
+
 
 # ----------------------------------------------------------------------
 # Grid expansion
