@@ -1,12 +1,16 @@
 #!/usr/bin/env python
 """Guard the batch replication backend against divergence from the reference.
 
-Runs the same Monte-Carlo sweep twice — once through the event-driven
-reference engine, once through the vectorized batch backend — with
-identical seeds, and fails if any aggregate column diverges beyond a
-relative tolerance.  Both backends consume identical randomness, so the
-only admissible difference is float summation order (~1e-15 relative);
-anything larger means one backend's accounting changed behaviour.
+Runs the same Monte-Carlo sweep twice under each variance mode (none,
+antithetic, stratified) — once through the event-driven reference engine,
+once through the vectorized batch backend — with identical seeds, and
+fails if any aggregate column diverges beyond a relative tolerance.  Both
+backends consume identical randomness (the batch backend builds its
+adversaries' generators from seed words derived per chunk, the event
+backend through ``default_rng``), so the only admissible difference is
+float summation order (~1e-15 relative); anything larger means one
+backend's accounting or seeding changed behaviour.  The default grid
+plays two adaptive schedulers and one non-adaptive one.
 
 This is the nightly CI job's workhorse (see
 ``.github/workflows/nightly.yml``), sized so a medium sweep with hundreds
@@ -39,6 +43,7 @@ if _SRC not in sys.path:
 
 from repro.experiments import SweepGrid, run_sweep  # noqa: E402
 from repro.experiments.montecarlo import replicate_scenario  # noqa: E402
+from repro.experiments.variance import VARIANCE_MODES  # noqa: E402
 from repro.registry import SCENARIO_FAMILIES  # noqa: E402
 
 EXIT_OK = 0
@@ -219,7 +224,8 @@ def main(argv=None) -> int:
     parser.add_argument("--setup-costs", type=float, nargs="+", default=[1.0])
     parser.add_argument("--interrupts", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--schedulers", nargs="+",
-                        default=["equalizing-adaptive", "rosenberg-adaptive"])
+                        default=["equalizing-adaptive", "rosenberg-adaptive",
+                                 "rosenberg-nonadaptive"])
     parser.add_argument("--adversaries", nargs="+",
                         default=["poisson-owner", "uniform-owner"])
     parser.add_argument("--replications", "-n", type=int, default=500)
@@ -321,18 +327,22 @@ def main(argv=None) -> int:
         print(f"error: invalid sweep grid: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    timings = {}
-    rows = {}
-    for backend in ("event", "batch"):
-        start = time.perf_counter()
-        rows[backend] = run_sweep(grid, jobs=args.jobs,
-                                  replications=args.replications,
-                                  seed=args.seed,
-                                  include_guaranteed=False,
-                                  backend=backend)
-        timings[backend] = time.perf_counter() - start
-        print(f"{backend:>5} backend: {len(rows[backend])} points x "
-              f"{args.replications} replications in {timings[backend]:.1f}s")
+    replications = args.replications + args.replications % 2  # antithetic pairs
+    timings = {"event": 0.0, "batch": 0.0}
+    rows = {"event": [], "batch": []}
+    for variance in VARIANCE_MODES:
+        for backend in ("event", "batch"):
+            start = time.perf_counter()
+            rows[backend] += run_sweep(grid, jobs=args.jobs,
+                                       replications=replications,
+                                       seed=args.seed,
+                                       include_guaranteed=False,
+                                       backend=backend, variance=variance)
+            seconds = time.perf_counter() - start
+            timings[backend] += seconds
+            print(f"{backend:>5} backend: {grid.size} points x "
+                  f"{replications} replications, variance {variance!r}, "
+                  f"in {seconds:.1f}s")
 
     if len(rows["event"]) != len(rows["batch"]):
         github_error("backends produced different row counts")

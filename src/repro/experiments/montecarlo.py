@@ -77,6 +77,7 @@ from ..core.game import (
     play_adaptive,
     play_nonadaptive,
 )
+from ..core.sampling import hashed_seeds
 from ..core.schedule import EpisodeSchedule
 from .grid import SweepPoint, make_adversary, make_scheduler
 from .streaming import StreamingAggregator
@@ -381,6 +382,21 @@ def _periods_ended(level: _Rows, rows: np.ndarray,
     return lo - level.starts[rows]
 
 
+def _chunk_adversaries(point: SweepPoint, params, rep_start: int,
+                       rep_stop: int, base_seed: int, variance: str) -> list:
+    """The adversaries of replications ``[rep_start, rep_stop)``.
+
+    Each is seeded with its replication's seed, as the event backend seeds
+    it; the chunk's SeedSequence words are derived in one array pass
+    (:func:`repro.core.sampling.hashed_seeds`), so an adversary that seeds
+    through :func:`~repro.core.sampling.spawn_rng` gets the same stream
+    without hashing its seed again.
+    """
+    seeds = hashed_seeds([replication_seed(base_seed, point.index, r, variance)
+                          for r in range(rep_start, rep_stop)])
+    return [make_adversary(point.adversary, params, seed=seed) for seed in seeds]
+
+
 def _play_level(level: _Rows, schedules: Sequence[EpisodeSchedule],
                 residuals: Sequence[float], alive: np.ndarray,
                 state: np.ndarray, adversaries: list, p: int, c: float,
@@ -438,10 +454,8 @@ def _play_point_batch(point: SweepPoint, scheduler, rep_start: int,
     params = point.params()
     c = params.setup_cost
     count = rep_stop - rep_start
-    adversaries = [make_adversary(point.adversary, params,
-                                  seed=replication_seed(base_seed, point.index,
-                                                        r, variance))
-                   for r in range(rep_start, rep_stop)]
+    adversaries = _chunk_adversaries(point, params, rep_start, rep_stop,
+                                     base_seed, variance)
     residual = np.full(count, params.lifespan)
     works, interrupts, episodes = np.zeros(count), np.zeros(count), np.zeros(count)
     alive = np.arange(count)
@@ -545,10 +559,8 @@ def _play_point_nonadaptive_batch(point: SweepPoint, scheduler,
             f"scheduler returned {type(base).__name__}, expected EpisodeSchedule")
     base.validate_for_lifespan(lifespan, require_exact=False)
 
-    adversaries = [make_adversary(point.adversary, params,
-                                  seed=replication_seed(base_seed, point.index,
-                                                        r, variance))
-                   for r in range(rep_start, rep_stop)]
+    adversaries = _chunk_adversaries(point, params, rep_start, rep_stop,
+                                     base_seed, variance)
     clock = np.zeros(count)
     works, interrupts, episodes = np.zeros(count), np.zeros(count), np.zeros(count)
     alive = np.arange(count)

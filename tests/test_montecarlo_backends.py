@@ -40,6 +40,30 @@ class TestReplicatePointBackends:
         batch_row = replicate_point(point, 40, base_seed=9, backend="batch")
         rows_close(event_row, batch_row)
 
+    @pytest.mark.parametrize("variance", ["none", "antithetic", "stratified"])
+    @pytest.mark.parametrize("scheduler", ["equalizing-adaptive",
+                                           "rosenberg-nonadaptive"])
+    @pytest.mark.parametrize("adversary", ["poisson-owner", "uniform-owner",
+                                           "random-period"])
+    def test_batch_matches_event_under_every_variance(self, scheduler,
+                                                      adversary, variance):
+        # The batch backend seeds its adversaries from words derived per
+        # chunk, the event backend through default_rng: both must consume
+        # the same (paired) streams, so the counts agree exactly.
+        point = SweepPoint(index=2, lifespan=400.0, setup_cost=1.0,
+                           max_interrupts=2, scheduler=scheduler,
+                           adversary=adversary)
+        event_row = replicate_point(point, 40, base_seed=9, backend="event",
+                                    variance=variance)
+        batch_row = replicate_point(point, 40, base_seed=9, backend="batch",
+                                    variance=variance)
+        rows_close(event_row, batch_row)
+        counts = [key for key in event_row
+                  if key.startswith(("interrupts_", "episodes_"))]
+        assert len(counts) >= 16
+        assert {key: event_row[key] for key in counts} \
+            == {key: batch_row[key] for key in counts}
+
     def test_nonadaptive_points_batch_matches_event(self):
         # Non-adaptive points route through the vectorized tail-reuse batch
         # pass; seeds and adversary consultations are identical, so the
