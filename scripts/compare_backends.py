@@ -56,22 +56,37 @@ def github_error(message: str) -> None:
     print(f"::error title=backend divergence::{str(message).splitlines()[0]}")
 
 
+#: Columns that name the sweep point or scenario family a row belongs to.
+IDENTITY_COLUMNS = ("scenario", "scheduler", "adversary", "lifespan",
+                    "setup_cost", "max_interrupts")
+
+
+def row_label(index: int, row) -> str:
+    """``row <index>`` and the point or family (and variance mode) it holds."""
+    named = [f"{key}={row[key]}" for key in IDENTITY_COLUMNS if key in row]
+    if not named:
+        return f"row {index}"
+    named.append(f"variance={row.get('variance', 'none')}")
+    return f"row {index} ({' '.join(named)})"
+
+
 def compare_rows(event_rows, batch_rows, tolerance: float):
     """Yield one message per diverging (row, column) pair."""
     for index, (event_row, batch_row) in enumerate(zip(event_rows, batch_rows)):
+        label = row_label(index, event_row)
         keys = set(event_row) | set(batch_row)
         for key in sorted(keys):
             if key not in event_row or key not in batch_row:
-                yield f"row {index}: column {key!r} present in only one backend"
+                yield f"{label}: column {key!r} present in only one backend"
                 continue
             a, b = event_row[key], batch_row[key]
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
-                    yield f"row {index}: {key} {a!r} != {b!r}"
+                    yield f"{label}: {key} {a!r} != {b!r}"
                 continue
             drift = abs(float(a) - float(b)) / max(1.0, abs(float(a)))
             if drift > tolerance:
-                yield (f"row {index}: {key} drifted {drift:.3e} "
+                yield (f"{label}: {key} drifted {drift:.3e} "
                        f"(event {a!r}, batch {b!r})")
 
 
