@@ -77,7 +77,7 @@ from ..core.game import (
     play_adaptive,
     play_nonadaptive,
 )
-from ..core.sampling import hashed_seeds
+from ..core.sampling import PairedSeed, hashed_seeds
 from ..core.schedule import EpisodeSchedule
 from .grid import SweepPoint, make_adversary, make_scheduler
 from .streaming import StreamingAggregator
@@ -390,11 +390,30 @@ def _chunk_adversaries(point: SweepPoint, params, rep_start: int,
     it; the chunk's SeedSequence words are derived in one array pass
     (:func:`repro.core.sampling.hashed_seeds`), so an adversary that seeds
     through :func:`~repro.core.sampling.spawn_rng` gets the same stream
-    without hashing its seed again.
+    without hashing its seed again.  Under ``variance="antithetic"`` the
+    two members of a pair share one seed (see
+    :func:`~repro.experiments.variance.replication_seed`), so it is hashed
+    once per pair: member 1 takes member 0's seed and words under its own
+    tag, and only a chunk that starts on member 1 hashes that member.
     """
+    if variance != "antithetic":
+        seeds = hashed_seeds([replication_seed(base_seed, point.index, r,
+                                               variance)
+                              for r in range(rep_start, rep_stop)])
+        return [make_adversary(point.adversary, params, seed=seed)
+                for seed in seeds]
+    firsts = [r for r in range(rep_start, rep_stop)
+              if r % 2 == 0 or r == rep_start]
     seeds = hashed_seeds([replication_seed(base_seed, point.index, r, variance)
-                          for r in range(rep_start, rep_stop)])
-    return [make_adversary(point.adversary, params, seed=seed) for seed in seeds]
+                          for r in firsts])
+    adversaries = []
+    for r, seed in zip(firsts, seeds):
+        adversaries.append(make_adversary(point.adversary, params, seed=seed))
+        if r % 2 == 0 and r + 1 < rep_stop:
+            partner = PairedSeed(seed, 1, seed.words)
+            adversaries.append(make_adversary(point.adversary, params,
+                                              seed=partner))
+    return adversaries
 
 
 def _play_level(level: _Rows, schedules: Sequence[EpisodeSchedule],

@@ -35,7 +35,12 @@ through :func:`write_row_shard` / :func:`read_row_shard`.
 Analytics read the store through the **columnar sidecar** ``columns.npz``:
 one array per result column (plus the point-index column), consolidated
 atomically from the completed shards on :meth:`Run.mark_complete` and
-opportunistically after every run/resume.  :meth:`Run.rows` and
+opportunistically after every run/resume.  The handle that writes a shard
+keeps the row it wrote, with the shard's stat taken right after the
+write, so consolidation reads from disk only the shards this handle did
+not write (a resumed run's earlier points) or that changed since (another
+handle or process replaced them); a shard that changes during the pass
+leaves the sidecar unpublished.  :meth:`Run.rows` and
 :meth:`Run.columns` read the sidecar in a single pass — zero per-shard
 ``.npz`` opens on the warm path — and fall back to per-shard reads
 whenever the sidecar is missing, stale (manifest digest or shard-set
@@ -56,7 +61,7 @@ import tempfile
 import time
 import zipfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -137,6 +142,15 @@ class RunStoreError(CycleStealingError, RuntimeError):
     """A missing, conflicting or corrupt stored run."""
 
 
+#: A shard file's ``(st_size, st_mtime_ns, st_ino)``: any replacement of the
+#: file (a new inode) or in-place edit (new size or mtime) changes it.
+_Signature = Tuple[int, int, int]
+
+
+def _signature(stat: os.stat_result) -> _Signature:
+    return (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+
+
 # ----------------------------------------------------------------------
 # Row <-> .npz shard round-trip
 # ----------------------------------------------------------------------
@@ -158,6 +172,13 @@ def _row_arrays(row: Dict[str, Any]) -> Dict[str, np.ndarray]:
     return arrays
 
 
+def _shard_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
+    """The deterministic ``.npz`` bytes of validated row arrays."""
+    buffer = io.BytesIO()
+    _write_npz_deterministic(buffer, arrays)
+    return buffer.getvalue()
+
+
 def row_to_shard_bytes(row: Dict[str, Any]) -> bytes:
     """Serialize one result row to the exact bytes its ``.npz`` shard holds.
 
@@ -170,9 +191,7 @@ def row_to_shard_bytes(row: Dict[str, Any]) -> bytes:
     merely plausible, and makes a multi-worker cluster run byte-identical
     to a single-machine ``--jobs`` run of the same spec.
     """
-    buffer = io.BytesIO()
-    _write_npz_deterministic(buffer, _row_arrays(row))
-    return buffer.getvalue()
+    return _shard_bytes(_row_arrays(row))
 
 
 def write_row_shard(path: Union[str, os.PathLike], row: Dict[str, Any]) -> None:
@@ -211,10 +230,16 @@ def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
         raise
 
 
-def _archive_to_row(archive) -> Dict[str, Any]:
+def _row_from_arrays(arrays: Mapping[str, np.ndarray]) -> Dict[str, Any]:
+    """The row a shard's arrays read back as, in the shard's column order.
+
+    0-d arrays become python scalars; other arrays stay arrays.  Both the
+    shard readers (``arrays`` is the open ``.npz``) and a writer's held
+    row (``arrays`` is what :func:`_row_arrays` made of the row) go
+    through here, so a held row equals the row read back from its shard.
+    """
     row: Dict[str, Any] = {}
-    for key in archive.files:
-        value = archive[key]
+    for key, value in arrays.items():
         if value.ndim == 0:
             item = value.item()
             if isinstance(item, (np.generic,)):  # pragma: no cover
@@ -233,7 +258,7 @@ def read_row_shard(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """
     try:
         with np.load(os.fspath(path), allow_pickle=False) as archive:
-            return _archive_to_row(archive)
+            return _row_from_arrays(archive)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise RunStoreError(f"corrupt or unreadable shard {path!r}: {exc}") from exc
 
@@ -248,7 +273,7 @@ def row_from_shard_bytes(data: bytes) -> Dict[str, Any]:
     """
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            return _archive_to_row(archive)
+            return _row_from_arrays(archive)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise RunStoreError(f"corrupt shard bytes: {exc}") from exc
 
@@ -374,6 +399,10 @@ class Run:
         #: Parsed-sidecar memo, keyed by the file's (size, mtime_ns) so a
         #: re-consolidation (this process or another) invalidates it.
         self._sidecar_memo: Optional[Tuple[Tuple[int, int], RunColumns]] = None
+        #: ``{index: (signature, row)}`` for every shard this handle wrote:
+        #: the row as its shard reads back, with the shard's stat signature
+        #: taken right after publishing it (see :meth:`consolidate_columns`).
+        self._held: Dict[int, Tuple[_Signature, Dict[str, Any]]] = {}
 
     # -- manifest ------------------------------------------------------
     @property
@@ -482,15 +511,9 @@ class Run:
         """
         completed: Set[int] = set()
         vouched = self._read_vouch()
-        fresh: Dict[int, Tuple[int, int]] = {}
-        for index, name in self._shard_names_on_disk():
-            path = os.path.join(self.points_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            signature = (stat.st_size, stat.st_mtime_ns)
-            if vouched.get(index) == signature:
+        fresh: Dict[int, _Signature] = {}
+        for index, path, signature in self._shard_stats():
+            if vouched.get(index) == signature[:2]:
                 completed.add(index)
                 continue
             try:
@@ -506,9 +529,9 @@ class Run:
             stable = {index: signature for index, signature in fresh.items()
                       if after.get(index) == signature}
             if stable:
-                merged = {index: signature
+                merged = {index: after[index]
                           for index, signature in vouched.items()
-                          if after.get(index) == signature}
+                          if after.get(index, ())[:2] == signature}
                 merged.update(stable)
                 self._write_vouch(merged)
         return completed
@@ -516,17 +539,20 @@ class Run:
     def write_point(self, index: int, row: Dict[str, Any]) -> None:
         """Persist one point's result row (atomic, idempotent).
 
-        Any shard write also drops the columnar sidecar: the sidecar is a
-        cache over an exact shard *contents*, and an in-place overwrite
-        (same filename, different row) would otherwise pass the shard-set
-        validity check while serving the old values.  The next completed
-        read or consolidation rebuilds it.
+        The shard is published before this returns.  Any shard write also
+        drops the columnar sidecar: the sidecar is a cache over an exact
+        shard *contents*, and an in-place overwrite (same filename,
+        different row) would otherwise pass the shard-set validity check
+        while serving the old values.  The next completed read or
+        consolidation rebuilds it — from the row this handle holds for
+        the shard, as long as the shard's stat still shows the file this
+        call published (see :meth:`consolidate_columns`).
         """
-        write_row_shard(self.shard_path(index), row)
-        try:
-            os.remove(self.columns_path)
-        except OSError:
-            pass
+        arrays = _row_arrays(row)
+        # Array values are copied: the caller may reuse its arrays.
+        held = _row_from_arrays({key: array.copy() if array.ndim else array
+                                 for key, array in arrays.items()})
+        self._publish_shard(index, _shard_bytes(arrays), held)
 
     def write_point_bytes(self, index: int, data: bytes) -> None:
         """Persist pre-serialized shard bytes for one point (atomic).
@@ -534,12 +560,24 @@ class Run:
         The distributed coordinator's landing strip for remotely computed
         shards: the bytes were produced by :func:`row_to_shard_bytes` on
         the worker and sha256-verified on receipt, and they go through the
-        same temp + ``os.replace`` path and sidecar drop as a local
-        :meth:`write_point` — resume, vouch, and consolidation see no
-        difference between a local and a remote shard.
+        same temp + ``os.replace`` path, sidecar drop and held row as a
+        local :meth:`write_point` — resume, vouch, and consolidation see
+        no difference between a local and a remote shard.
         """
-        row_from_shard_bytes(data)  # reject unparseable bytes up front
-        write_shard_bytes(self.shard_path(index), data)
+        row = row_from_shard_bytes(data)  # reject unparseable bytes up front
+        self._publish_shard(index, data, row)
+
+    def _publish_shard(self, index: int, data: bytes,
+                       row: Dict[str, Any]) -> None:
+        """Publish shard bytes, hold the row they encode, drop the sidecar."""
+        path = self.shard_path(index)
+        write_shard_bytes(path, data)
+        try:
+            stat = os.stat(path)
+        except OSError:
+            self._held.pop(index, None)
+        else:
+            self._held[index] = (_signature(stat), row)
         try:
             os.remove(self.columns_path)
         except OSError:
@@ -573,37 +611,48 @@ class Run:
             indices.append(index)
         return indices, rows
 
-    def _shard_stat_snapshot(self) -> Dict[int, Tuple[int, int]]:
-        """``{index: (size, mtime_ns)}`` of every shard file present.
-
-        A pure-reader's opportunistic sidecar rebuild compares snapshots
-        taken before and after its read pass: if any shard changed in
-        between (a concurrent resume overwriting a point), publishing a
-        sidecar built from the pre-change rows would resurrect stale data
-        — the reader must skip the publish and leave consolidation to the
-        writer, which always force-consolidates after computing points.
-        """
-        out: Dict[int, Tuple[int, int]] = {}
+    def _shard_stats(self) -> List[Tuple[int, str, _Signature]]:
+        """``(index, path, signature)`` of every shard file present, by index."""
+        out: List[Tuple[int, str, _Signature]] = []
         for index, name in self._shard_names_on_disk():
+            path = os.path.join(self.points_dir, name)
             try:
-                stat = os.stat(os.path.join(self.points_dir, name))
+                stat = os.stat(path)
             except OSError:
                 continue
-            out[index] = (stat.st_size, stat.st_mtime_ns)
+            out.append((index, path, _signature(stat)))
         return out
+
+    def _shard_stat_snapshot(self) -> Dict[int, _Signature]:
+        """``{index: signature}`` of every shard file present.
+
+        Every sidecar rebuild compares snapshots taken before and after
+        its pass over the shards: if any shard changed in between (a
+        concurrent resume overwriting a point), publishing a sidecar built
+        from the pre-change rows would resurrect stale data — the rebuild
+        skips the publish, and the sidecar stays dropped until a pass
+        that saw no change.
+        """
+        return {index: signature
+                for index, _path, signature in self._shard_stats()}
 
     # -- shard vouch (resume fast-path) --------------------------------
     @property
     def vouch_path(self) -> str:
-        """Sidecar companion recording which shards were read whole.
+        """Sidecar companion recording which shards are known whole.
 
         ``{index: (size, mtime_ns)}`` signatures captured *before* a
-        consolidation pass read each shard, bound to the run's identity
-        digest.  Purely advisory: :meth:`completed_points` trusts a
-        matching signature without opening the shard, and any mismatch,
-        corruption or absence just degrades to the full per-shard scan.
-        Kept out of ``columns.npz`` (whose bytes are pinned deterministic
-        for the report digest cache) and out of :meth:`content_digest`.
+        consolidation pass, bound to the run's identity digest.  The pass
+        vouches for every shard it took a row from whose stat did not
+        change during the pass: shards it read whole, and shards whose
+        row this handle holds because it wrote them (it produced those
+        bytes and published them atomically, and their stat still matches
+        the one taken right after the publish).  Purely advisory:
+        :meth:`completed_points` trusts a matching signature without
+        opening the shard, and any mismatch, corruption or absence just
+        degrades to the full per-shard scan.  Kept out of ``columns.npz``
+        (whose bytes are pinned deterministic for the report digest cache)
+        and out of :meth:`content_digest`.
         """
         return os.path.join(self.root, "columns.vouch.json")
 
@@ -624,13 +673,14 @@ class Run:
                 json.JSONDecodeError, RunStoreError):
             return {}
 
-    def _write_vouch(self, signatures: Dict[int, Tuple[int, int]]) -> None:
+    def _write_vouch(self, signatures: Dict[int, _Signature]) -> None:
         """Atomically publish the vouch file (best-effort, never raises)."""
         payload = {
             "schema": VOUCH_VERSION,
             "identity": self._identity_digest(),
             "shards": {str(index): [size, mtime_ns]
-                       for index, (size, mtime_ns) in sorted(signatures.items())},
+                       for index, (size, mtime_ns, _ino)
+                       in sorted(signatures.items())},
         }
         try:
             fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".json.tmp")
@@ -648,7 +698,7 @@ class Run:
                 pass
 
     def _vouch_after_read(self, indices: List[int],
-                          before: Dict[int, Tuple[int, int]]) -> None:
+                          before: Dict[int, _Signature]) -> None:
         """Vouch for shards read whole whose stat never changed meanwhile.
 
         ``before`` is the pre-read :meth:`_shard_stat_snapshot`; a shard
@@ -776,25 +826,47 @@ class Run:
     def consolidate_columns(self, *, force: bool = False) -> Optional[str]:
         """Consolidate the completed shards into ``columns.npz``.
 
+        One pass over a stat snapshot of the shards takes each shard's
+        row: the row this handle holds when it wrote the shard and the
+        shard's stat still matches the one taken right after that write,
+        otherwise the shard read whole from disk (a resumed run's earlier
+        points, a shard another handle or process replaced).  The rows,
+        and so the sidecar's bytes, are the same either way.
+
         Returns the sidecar path, or ``None`` when there is nothing to
-        consolidate (no readable shards) or the rows cannot be stored
-        columnar (non-scalar values, type-mixed columns) — per-shard reads
-        then remain the only path, which is always correct.  A sidecar
-        that is already valid for the current shard set is kept as is
-        unless ``force`` is given; the write itself is temp-file +
-        ``os.replace``, so readers and crashes only ever see whole
-        sidecars.
+        consolidate (no readable shards), when a shard changed during the
+        pass (the rows in hand may predate the change, and the sidecar
+        stays dropped until a pass that saw none), or when the rows cannot
+        be stored columnar (non-scalar values, type-mixed columns) —
+        per-shard reads then remain the only path, which is always
+        correct.  A sidecar that is already valid for the current shard
+        set is kept as is unless ``force`` is given; the write itself is
+        temp-file + ``os.replace``, so readers and crashes only ever see
+        whole sidecars.
         """
         if not force and self._load_valid_sidecar() is not None:
             return self.columns_path
-        before = self._shard_stat_snapshot()
-        indices, rows = self._read_all_shards()
-        if not rows:
+        stats = self._shard_stats()
+        before = {index: signature for index, _path, signature in stats}
+        indices: List[int] = []
+        rows: List[Dict[str, Any]] = []
+        for index, path, signature in stats:
+            held = self._held.get(index)
+            if held is not None and held[0] == signature:
+                row = held[1]
+            else:
+                try:
+                    row = read_row_shard(path)
+                except RunStoreError:
+                    continue
+            indices.append(index)
+            rows.append(row)
+        if not rows or self._shard_stat_snapshot() != before:
             return None
         path = self._write_sidecar(indices, rows)
-        # Every index in `indices` was just read whole: vouch for the ones
-        # whose stat did not change underneath the read, so the next
-        # resume's completed_points() trusts them without reopening.
+        # Every row in hand is its shard's content: vouch for the shards
+        # whose stat did not change since, so the next resume's
+        # completed_points() trusts them without reopening.
         self._vouch_after_read(indices, before)
         return path
 

@@ -28,6 +28,7 @@ from repro.distributed import (
     run_spec_distributed,
 )
 import repro.distributed.coordinator as coordinator_module
+import repro.runstore as runstore_module
 from repro.distributed.executor import _worker_entry
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -245,14 +246,21 @@ class TestPointLedger:
 
 
 class TestByteIdentity:
-    def test_cluster_of_two_matches_jobs_two(self, tmp_path):
+    def test_cluster_of_two_matches_jobs_two(self, tmp_path, monkeypatch):
         """The acceptance bar: 64 points, 2 loopback workers, identical
         manifest + shards + columns.npz, one DP solve per planned table."""
         spec = parse_spec(SWEEP_64_SPEC)
         metrics = {}
+        # The coordinator consolidates from the rows it decoded while
+        # validating each streamed shard: it reads no shard back.
+        reads = []
+        real = runstore_module.read_row_shard
+        monkeypatch.setattr(runstore_module, "read_row_shard",
+                            lambda path: (reads.append(path), real(path))[1])
         cluster = run_spec_distributed(spec, runs_dir=tmp_path / "cluster",
                                        workers=2, lease_ttl=30.0,
                                        timeout=600.0, metrics_out=metrics)
+        assert reads == []
         local = run_spec(spec, runs_dir=tmp_path / "local", jobs=2)
         assert cluster.status == "complete"
         assert run_tree(cluster) == run_tree(local)

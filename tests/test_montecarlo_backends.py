@@ -9,6 +9,8 @@ lots of margin (observed differences are ~1e-15 relative).
 
 import pytest
 
+import repro.experiments.montecarlo as montecarlo_module
+import repro.experiments.variance as variance_module
 from repro.experiments import SweepGrid, SweepPoint, replicate_point, replicate_scenario, run_sweep
 from repro.experiments.montecarlo import BACKENDS
 from repro.workloads import flaky_owners, laptop_evening
@@ -201,3 +203,51 @@ def test_batch_replay_checks_lengths_like_the_event_referee():
         _play_point_batch(point, Overshoot(1e-3), 0, 8, 5)
     works, _, _ = _play_point_batch(point, Overshoot(1e-7), 0, 8, 5)
     assert len(works) == 8
+
+
+class TestAntitheticPairSeeds:
+    """The batch backend hashes each antithetic pair's shared seed once.
+
+    Both members of pair ``k`` share ``point_seed(base, key, 2k)``; the
+    event backend derives it once per replication and stays the reference.
+    """
+
+    POINT = SweepPoint(index=3, lifespan=400.0, setup_cost=1.0,
+                       max_interrupts=2, scheduler="equalizing-adaptive",
+                       adversary="poisson-owner")
+
+    def _count(self, monkeypatch):
+        hashes, seeds = [], []
+        point_seed = variance_module.point_seed
+        replication_seed = montecarlo_module.replication_seed
+        monkeypatch.setattr(
+            variance_module, "point_seed",
+            lambda *args: (hashes.append(args), point_seed(*args))[1])
+        monkeypatch.setattr(
+            montecarlo_module, "replication_seed",
+            lambda *args: (seeds.append(args), replication_seed(*args))[1])
+        return hashes, seeds
+
+    def test_each_pair_is_hashed_once(self, monkeypatch):
+        hashes, seeds = self._count(monkeypatch)
+        replicate_point(self.POINT, 1000, base_seed=5, backend="batch",
+                        variance="antithetic")
+        assert len(hashes) == len(set(hashes)) == 500
+        assert len(seeds) == 500
+
+    def test_chunk_starting_on_member_one_matches_event(self, monkeypatch):
+        chunked = {"variance": "antithetic", "aggregation": "streaming",
+                   "chunk_size": 7}
+        event_row = replicate_point(self.POINT, 200, base_seed=5,
+                                    backend="event", **chunked)
+        hashes, _seeds = self._count(monkeypatch)
+        batch_row = replicate_point(self.POINT, 200, base_seed=5,
+                                    backend="batch", **chunked)
+        # 100 pairs, plus one hash for each of the 14 chunks that start on
+        # member 1 (at 7, 21, ..., 189).
+        assert len(hashes) == 114
+        rows_close(event_row, batch_row)
+        counts = [key for key in event_row
+                  if key.startswith(("interrupts_", "episodes_"))]
+        assert {key: event_row[key] for key in counts} \
+            == {key: batch_row[key] for key in counts}

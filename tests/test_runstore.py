@@ -760,3 +760,110 @@ class TestCompletedPointsVouch:
         reopened = RunStore(tmp_path).open(run.run_id)
         assert (render_run_report(reopened),
                 reopened.content_digest()) == with_vouch
+
+
+class TestHeldRows:
+    """Consolidation takes the rows a writing handle holds, not its shards.
+
+    A handle keeps the row of every shard it writes, with the shard's stat
+    taken right after the write; ``consolidate_columns`` reads from disk
+    only the shards it did not write or whose stat has changed since.
+    ``rows(source="shards")`` still reads every shard: the shards stay the
+    record.
+    """
+
+    def _count_reads(self, monkeypatch):
+        reads = []
+        real = runstore_module.read_row_shard
+        monkeypatch.setattr(runstore_module, "read_row_shard",
+                            lambda path: (reads.append(path), real(path))[1])
+        return reads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_run_reads_no_shard_back(self, tmp_path, monkeypatch,
+                                           jobs):
+        reads = self._count_reads(monkeypatch)
+        run = run_spec(parse_spec(SWEEP_SPEC), runs_dir=tmp_path, jobs=jobs)
+        assert run.status == "complete"
+        assert reads == []
+        assert run.rows(source="sidecar") == run.rows(source="shards")
+        assert len(reads) == 6  # source="shards" reads every shard
+
+    def test_sidecar_from_held_rows_matches_one_read_from_shards(
+            self, tmp_path):
+        run = run_spec(parse_spec(SWEEP_SPEC), runs_dir=tmp_path)
+        held = open(run.columns_path, "rb").read()
+        with open(run.vouch_path) as handle:
+            vouched = json.load(handle)["shards"]
+        reader = RunStore(tmp_path).open(run.run_id)  # holds no rows
+        assert reader.consolidate_columns(force=True) == reader.columns_path
+        assert open(reader.columns_path, "rb").read() == held
+        with open(reader.vouch_path) as handle:
+            assert json.load(handle)["shards"] == vouched
+        assert sorted(vouched) == [str(index) for index in range(6)]
+
+    def test_held_row_equals_the_row_read_back(self, tmp_path):
+        run = RunStore(tmp_path).create(parse_spec(SCENARIO_SPEC),
+                                        run_id="types")
+        trace = np.arange(3.0)
+        row = {"scheduler": "a", "count": 3, "flag": True, "work": 1.5,
+               "narrow": np.float32(0.25), "small": np.int16(-2),
+               "tag": np.str_("x"), "trace": trace}
+        run.write_point(0, row)
+        trace[0] = 99.0  # the caller reusing its array changes nothing
+        held = run._held[0][1]
+        back = read_row_shard(run.shard_path(0))
+        assert list(held) == list(back) == list(row)
+        for key in row:
+            assert type(held[key]) is type(back[key]), key
+        np.testing.assert_array_equal(held.pop("trace"), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(back.pop("trace"), [0.0, 1.0, 2.0])
+        assert held == back
+
+    def test_resumed_run_reads_only_the_shards_written_before(
+            self, tmp_path, monkeypatch):
+        spec = parse_spec(SWEEP_SPEC)
+        full = run_spec(spec, runs_dir=tmp_path / "full")
+        broken = run_spec(spec, runs_dir=tmp_path / "broken", max_points=3)
+        reads = self._count_reads(monkeypatch)
+        resumed = resume_run(broken.run_id, runs_dir=tmp_path / "broken")
+        assert resumed.status == "complete"
+        assert reads == [resumed.shard_path(index) for index in range(3)]
+        assert open(resumed.columns_path, "rb").read() \
+            == open(full.columns_path, "rb").read()
+
+    def test_shard_replaced_by_another_handle_is_read_from_disk(
+            self, tmp_path, monkeypatch):
+        run = _synthetic_complete_run(tmp_path, num_points=8)
+        other = RunStore(tmp_path).open(run.run_id)
+        replacement = dict(run.read_point(2), guaranteed_work=-1.0)
+        other.write_point(2, replacement)  # drops the sidecar
+        reads = self._count_reads(monkeypatch)
+        assert run.consolidate_columns(force=True) == run.columns_path
+        assert reads == [run.shard_path(2)]
+        assert run.rows(source="sidecar")[2] == replacement
+        assert run.rows(source="sidecar") == run.rows(source="shards")
+
+    def test_shard_replaced_during_consolidation_is_not_published(
+            self, tmp_path, monkeypatch):
+        # While a forced consolidation reads shard 3, another handle
+        # overwrites shard 1: the rows in hand hold shard 1's old value,
+        # so the pass must not publish them as the sidecar.
+        run = run_spec(parse_spec(SWEEP_SPEC), runs_dir=tmp_path)
+        fresh = RunStore(tmp_path).open(run.run_id)  # holds no rows
+        other = RunStore(tmp_path).open(run.run_id)
+        replacement = dict(run.read_point(1), guaranteed_work=-1.0)
+        real = runstore_module.read_row_shard
+
+        def read_and_overwrite(path):
+            if path == fresh.shard_path(3):
+                other.write_point(1, replacement)
+            return real(path)
+
+        monkeypatch.setattr(runstore_module, "read_row_shard",
+                            read_and_overwrite)
+        assert fresh.consolidate_columns(force=True) is None
+        assert not os.path.exists(fresh.columns_path)
+        monkeypatch.setattr(runstore_module, "read_row_shard", real)
+        assert fresh.rows()[1] == replacement
+        assert fresh.rows(source="sidecar") == fresh.rows(source="shards")

@@ -58,6 +58,22 @@ def outside_run_rows(family, replications, *, seed=0, backend="batch"):
     return rows
 
 
+def first_difference(got, want):
+    """Where two runs' row lists first differ (an assertion message)."""
+    def shown(row, key):
+        return repr(row[key]) if key in row else "no such column"
+
+    if len(got) != len(want):
+        return f"{len(got)} rows, expected {len(want)}"
+    for index, (row, expected) in enumerate(zip(got, want)):
+        for key in list(expected) + [key for key in row if key not in expected]:
+            if key not in row or key not in expected \
+                    or row[key] != expected[key]:
+                return (f"row {index}, column {key!r}: got {shown(row, key)}, "
+                        f"serial run has {shown(expected, key)}")
+    return "no row differs"
+
+
 def assert_rows_match(run, expected):
     rows = run.rows()
     assert len(rows) == len(expected)
@@ -111,7 +127,9 @@ class TestRunSharesInstances:
                 rows = [future.result(timeout=120).rows() for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert rows == serial
+        assert len(rows) == len(serial)
+        for seed, (got, want) in enumerate(zip(rows, serial)):
+            assert got == want, f"seed {seed}: {first_difference(got, want)}"
 
 
 class TestHolderKey:
