@@ -10,8 +10,8 @@ re-verifies it in CI) need the *same* cluster workloads:
   throughput scales with worker *processes* even on a single core and
   the committed speedup measures the executor, not the machine.  The
   1-, 2- and 4-worker rows are measured together in rounds, and the
-  benchmark gates on the round with the best 2-worker speedup
-  (:func:`best_scaling_round`): a slow episode of a shared host can
+  benchmark passes when one round passes both of its checks
+  (:func:`gated_scaling_round`): a slow episode of a shared host can
   drag one round below the floor, but not every round;
 * a **table-service** sweep with DP optima enabled, whose planned-table
   count is re-derivable from the spec — the committed ``dp_solves`` must
@@ -40,7 +40,7 @@ POINT_DELAY_S = 0.15
 #: point throughput (the acceptance bar of the distributed executor).
 SPEEDUP_FLOOR = 1.7
 
-#: Scaling rounds the benchmark measures at most (see best_scaling_round).
+#: Scaling rounds the benchmark measures at most (see gated_scaling_round).
 SCALING_ROUNDS = 3
 
 #: 48 fixed-cost points; no DP tables, so the scaling rows time the
@@ -121,22 +121,23 @@ def _two_worker_speedup(rows: List[Dict[str, object]]) -> float:
     return next(row["speedup"] for row in rows if row["workers"] == 2)
 
 
-def best_scaling_round(measure: Callable[[int], List[Dict[str, object]]]
-                       ) -> List[Dict[str, object]]:
-    """The rows of the round with the best 2-worker speedup.
+def gated_scaling_round(measure: Callable[[int], List[Dict[str, object]]]
+                        ) -> List[Dict[str, object]]:
+    """The rows of the first round that passes, else of the best round.
 
     ``measure(k)`` returns round ``k``'s rows (:func:`scaling_round`).
-    Rounds stop at the first whose 2-worker speedup meets
-    :data:`SPEEDUP_FLOOR`: the best of :data:`SCALING_ROUNDS` rounds meets
-    the floor exactly when one of them does, so stopping there gives the
-    verdict that always measuring every round would.
+    Rounds stop at the first with no :func:`scaling_failures`, so the
+    benchmark passes exactly when one of :data:`SCALING_ROUNDS` rounds
+    passes both checks — the verdict that measuring every round would
+    give.  When none does, the round with the best 2-worker speedup is
+    the one returned (and reported).
     """
-    best = measure(0)
-    for k in range(1, SCALING_ROUNDS):
-        if _two_worker_speedup(best) >= SPEEDUP_FLOOR:
-            break
+    best = None
+    for k in range(SCALING_ROUNDS):
         rows = measure(k)
-        if _two_worker_speedup(rows) > _two_worker_speedup(best):
+        if not scaling_failures(rows):
+            return rows
+        if best is None or _two_worker_speedup(rows) > _two_worker_speedup(best):
             best = rows
     return best
 

@@ -10,11 +10,12 @@ exactly one DP solve per planned table, and each worker fetches each
 table once.
 
 The scaling rows are measured in rounds of 1, 2 and 4 workers, up to
-``SCALING_ROUNDS``, and the round with the best 2-worker speedup is the
-one committed and gated: sleep-padded points time the executor, but a
-slow episode of a shared host still drags single rounds below the floor.
-Rounds stop at the first that meets the floor, which gives the verdict
-that always measuring every round would.
+``SCALING_ROUNDS``, and the benchmark passes when one round passes both
+checks: sleep-padded points time the executor, but a slow episode of a
+shared host still drags single rounds below the floor.  Rounds stop at
+the first that passes, which gives the verdict that measuring every
+round would; that round is the one committed, or the round with the best
+2-worker speedup when none passes.
 
 The committed evidence (``benchmarks/results/distributed_sweep.*``) is
 enforced by ``scripts/check_bench_regression.py --only distributed-sweep``:
@@ -28,7 +29,7 @@ from distributed_util import (
     SCALING_ROUNDS,
     SPEEDUP_FLOOR,
     WORKER_COUNTS,
-    best_scaling_round,
+    gated_scaling_round,
     measure_table_service,
     planned_tables,
     scaling_failures,
@@ -38,7 +39,7 @@ from distributed_util import (
 
 def test_bench_distributed_sweep(benchmark, tmp_path):
     rows = benchmark.pedantic(
-        lambda: best_scaling_round(
+        lambda: gated_scaling_round(
             lambda k: scaling_round(tmp_path / f"round{k}")),
         rounds=1, iterations=1)
     table_row = measure_table_service(tmp_path)
@@ -70,7 +71,7 @@ def test_gate_fails_when_every_round_is_below_the_floor():
         measured.append(k)
         return fake_round(1.6, 2.0)
 
-    rows = best_scaling_round(measure)
+    rows = gated_scaling_round(measure)
     assert measured == list(range(SCALING_ROUNDS))
     assert scaling_failures(rows) == [
         f"2 workers pushed only 1.6x the 1-worker throughput "
@@ -85,13 +86,36 @@ def test_gate_keeps_the_first_round_that_meets_the_floor():
         measured.append(k)
         return fake_round(speedups[k], 2.4)
 
-    rows = best_scaling_round(measure)
+    rows = gated_scaling_round(measure)
     assert measured == [0, 1]
     assert rows == fake_round(1.75, 2.4)
     assert scaling_failures(rows) == []
 
 
 def test_gate_compares_four_workers_with_two_of_the_same_round():
-    rows = best_scaling_round(lambda k: fake_round(1.8, 1.79))
+    rows = gated_scaling_round(lambda k: fake_round(1.8, 1.79))
+    assert scaling_failures(rows) == [
+        "4 workers slower than 2 — the executor stopped scaling"]
+
+
+def test_gate_goes_on_past_a_round_failing_only_on_four_workers():
+    rounds = [fake_round(1.72, 1.70), fake_round(1.8, 2.4)]
+    measured = []
+
+    def measure(k):
+        measured.append(k)
+        return rounds[k]
+
+    rows = gated_scaling_round(measure)
+    assert measured == [0, 1]
+    assert rows == fake_round(1.8, 2.4)
+    assert scaling_failures(rows) == []
+
+
+def test_gate_reports_the_best_two_worker_round_when_none_passes():
+    rounds = [fake_round(1.6, 2.0), fake_round(1.75, 1.7),
+              fake_round(1.65, 2.0)]
+    rows = gated_scaling_round(lambda k: rounds[k])
+    assert rows == fake_round(1.75, 1.7)
     assert scaling_failures(rows) == [
         "4 workers slower than 2 — the executor stopped scaling"]

@@ -396,20 +396,15 @@ def _chunk_adversaries(point: SweepPoint, params, rep_start: int,
     once per pair: member 1 takes member 0's seed and words under its own
     tag, and only a chunk that starts on member 1 hashes that member.
     """
-    if variance != "antithetic":
-        seeds = hashed_seeds([replication_seed(base_seed, point.index, r,
-                                               variance)
-                              for r in range(rep_start, rep_stop)])
-        return [make_adversary(point.adversary, params, seed=seed)
-                for seed in seeds]
-    firsts = [r for r in range(rep_start, rep_stop)
-              if r % 2 == 0 or r == rep_start]
+    paired = variance == "antithetic"
     seeds = hashed_seeds([replication_seed(base_seed, point.index, r, variance)
-                          for r in firsts])
+                          for r in range(rep_start, rep_stop)
+                          if not paired or r % 2 == 0 or r == rep_start])
     adversaries = []
-    for r, seed in zip(firsts, seeds):
+    for seed in seeds:
         adversaries.append(make_adversary(point.adversary, params, seed=seed))
-        if r % 2 == 0 and r + 1 < rep_stop:
+        if (paired and seed.member == 0
+                and len(adversaries) < rep_stop - rep_start):
             partner = PairedSeed(seed, 1, seed.words)
             adversaries.append(make_adversary(point.adversary, params,
                                               seed=partner))

@@ -36,11 +36,11 @@ Analytics read the store through the **columnar sidecar** ``columns.npz``:
 one array per result column (plus the point-index column), consolidated
 atomically from the completed shards on :meth:`Run.mark_complete` and
 opportunistically after every run/resume.  The handle that writes a shard
-keeps the row it wrote, with the shard's stat taken right after the
-write, so consolidation reads from disk only the shards this handle did
-not write (a resumed run's earlier points) or that changed since (another
-handle or process replaced them); a shard that changes during the pass
-leaves the sidecar unpublished.  :meth:`Run.rows` and
+keeps the row it wrote, with the stat of the file it published (taken
+before the rename), so consolidation reads from disk only the shards this
+handle did not write (a resumed run's earlier points) or that changed
+since (another handle or process replaced them); a shard that changes
+during the pass leaves the sidecar unpublished.  :meth:`Run.rows` and
 :meth:`Run.columns` read the sidecar in a single pass — zero per-shard
 ``.npz`` opens on the warm path — and fall back to per-shard reads
 whenever the sidecar is missing, stale (manifest digest or shard-set
@@ -205,7 +205,8 @@ def write_row_shard(path: Union[str, os.PathLike], row: Dict[str, Any]) -> None:
     write_shard_bytes(path, row_to_shard_bytes(row))
 
 
-def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
+def write_shard_bytes(path: Union[str, os.PathLike],
+                      data: bytes) -> os.stat_result:
     """Atomically publish already-serialized shard bytes (temp + replace).
 
     The write path the distributed coordinator uses for remotely computed
@@ -213,6 +214,11 @@ def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     and the coordinator verified its sha256, so the bytes land unmodified
     through the exact same temp-file + ``os.replace`` discipline as a
     locally computed shard.
+
+    Returns the stat of the published file, taken from the temp file
+    after its last write and before the rename (which keeps its size,
+    mtime and inode): the stat is this call's file even if another writer
+    replaces the shard right after the rename.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -221,6 +227,8 @@ def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            stat = os.fstat(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -228,6 +236,7 @@ def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
         except OSError:
             pass
         raise
+    return stat
 
 
 def _row_from_arrays(arrays: Mapping[str, np.ndarray]) -> Dict[str, Any]:
@@ -400,8 +409,9 @@ class Run:
         #: re-consolidation (this process or another) invalidates it.
         self._sidecar_memo: Optional[Tuple[Tuple[int, int], RunColumns]] = None
         #: ``{index: (signature, row)}`` for every shard this handle wrote:
-        #: the row as its shard reads back, with the shard's stat signature
-        #: taken right after publishing it (see :meth:`consolidate_columns`).
+        #: the row as its shard reads back, with the signature of the file
+        #: this handle published (see :func:`write_shard_bytes` and
+        #: :meth:`consolidate_columns`).
         self._held: Dict[int, Tuple[_Signature, Dict[str, Any]]] = {}
 
     # -- manifest ------------------------------------------------------
@@ -570,14 +580,8 @@ class Run:
     def _publish_shard(self, index: int, data: bytes,
                        row: Dict[str, Any]) -> None:
         """Publish shard bytes, hold the row they encode, drop the sidecar."""
-        path = self.shard_path(index)
-        write_shard_bytes(path, data)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            self._held.pop(index, None)
-        else:
-            self._held[index] = (_signature(stat), row)
+        stat = write_shard_bytes(self.shard_path(index), data)
+        self._held[index] = (_signature(stat), row)
         try:
             os.remove(self.columns_path)
         except OSError:
@@ -647,7 +651,7 @@ class Run:
         change during the pass: shards it read whole, and shards whose
         row this handle holds because it wrote them (it produced those
         bytes and published them atomically, and their stat still matches
-        the one taken right after the publish).  Purely advisory:
+        the file it published).  Purely advisory:
         :meth:`completed_points` trusts a matching signature without
         opening the shard, and any mismatch, corruption or absence just
         degrades to the full per-shard scan.  Kept out of ``columns.npz``
@@ -828,7 +832,7 @@ class Run:
 
         One pass over a stat snapshot of the shards takes each shard's
         row: the row this handle holds when it wrote the shard and the
-        shard's stat still matches the one taken right after that write,
+        shard's stat still matches the file that write published,
         otherwise the shard read whole from disk (a resumed run's earlier
         points, a shard another handle or process replaced).  The rows,
         and so the sidecar's bytes, are the same either way.

@@ -844,6 +844,32 @@ class TestHeldRows:
         assert run.rows(source="sidecar")[2] == replacement
         assert run.rows(source="sidecar") == run.rows(source="shards")
 
+    def test_shard_replaced_right_after_its_rename_is_read_from_disk(
+            self, tmp_path, monkeypatch):
+        # Another handle replaces shard 2 the moment this handle's rename
+        # publishes it: the held signature is that of the file this handle
+        # renamed into place, not of whatever the path holds afterwards.
+        run = _synthetic_complete_run(tmp_path, num_points=8)
+        other = RunStore(tmp_path).open(run.run_id)
+        replacement = dict(run.read_point(2), guaranteed_work=-1.0)
+        real_replace = os.replace
+        raced = []
+
+        def replace_then_overwrite(src, dst):
+            real_replace(src, dst)
+            if dst == run.shard_path(2) and not raced:
+                raced.append(dst)
+                other.write_point(2, replacement)
+
+        monkeypatch.setattr(os, "replace", replace_then_overwrite)
+        run.write_point(2, run.read_point(2))
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert raced
+        reads = self._count_reads(monkeypatch)
+        assert run.consolidate_columns(force=True) == run.columns_path
+        assert reads == [run.shard_path(2)]
+        assert run.rows(source="sidecar")[2] == replacement
+
     def test_shard_replaced_during_consolidation_is_not_published(
             self, tmp_path, monkeypatch):
         # While a forced consolidation reads shard 3, another handle
