@@ -938,7 +938,7 @@ class Run:
 
     def _opportunistic_consolidate(
             self, indices: List[int], rows: List[Dict[str, Any]],
-            before: Dict[int, Tuple[int, int]]) -> None:
+            before: Dict[int, _Signature]) -> None:
         """Best-effort sidecar rebuild from rows already in hand.
 
         Only when every shard on disk was readable (otherwise the fresh
