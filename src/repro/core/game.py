@@ -563,44 +563,115 @@ def _check_lengths(totals: np.ndarray, residuals: np.ndarray,
             f"lifespan {residual!r}")
 
 
-class _Block:
-    """Block ``lo:hi`` of a level's :class:`_ScheduleRows` as :class:`_Rows`:
-    per period ``children`` (``residual − T_j``) and, ``with_work``,
-    ``banked`` (work banked before period ``j``); per row ``uninterrupted``,
-    ``with_work``.  With ``check``, every row's length is checked against
-    its residual."""
+def _block_periods(rows: _ScheduleRows, lo: int, hi: int) -> np.ndarray:
+    """The periods of block ``lo:hi`` of a level's rows."""
+    first = int(rows.starts[lo])
+    return rows.periods[first:first + int(rows.counts[lo:hi].sum())]
 
-    def __init__(self, rows: _ScheduleRows, lo: int, hi: int,
-                 residuals: np.ndarray, c: float, *, with_work: bool,
-                 check: bool = False):
-        self.lo = lo
-        self.states = rows.states[lo:hi]
-        self.counts = counts = rows.counts[lo:hi]
-        first = int(rows.starts[lo])
-        sums = _Rows(rows.periods[first:first + int(counts.sum())], counts,
-                     c if with_work else None, totals=check)
-        self.starts = sums.starts
-        own = residuals[self.states]
-        if check:
-            _check_lengths(sums.total, own, self.states)
-        self.children = np.repeat(own, counts) - sums.finish
-        if with_work:
-            self.uninterrupted = sums.uninterrupted
-            # Banked before period j = running sum through period j - 1.
-            self.banked = np.empty_like(sums.running)
-            self.banked[1:] = sums.running[:-1]
-            self.banked[self.starts] = 0.0
 
-    def children_in_state_order(self) -> np.ndarray:
-        """:attr:`children` with the rows back in state order."""
-        rows = self.states - self.lo
-        state_counts = np.empty_like(self.counts)
-        state_counts[rows] = self.counts
-        shift = np.repeat(_offsets(state_counts)[rows] - self.starts,
-                          self.counts)
-        ordered = np.empty_like(self.children)
-        ordered[np.arange(shift.size) + shift] = self.children
-        return ordered
+def _check_block(rows: _ScheduleRows, lo: int, hi: int,
+                 residuals: np.ndarray) -> None:
+    """Check every row length of block ``lo:hi`` against its residual."""
+    states = rows.states[lo:hi]
+    counts = rows.counts[lo:hi]
+    totals = _row_sums(_block_periods(rows, lo, hi), counts, _offsets(counts))
+    _check_lengths(totals, residuals[states], states)
+
+
+def _block_children(rows: _ScheduleRows, lo: int, hi: int,
+                    residuals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The children (``residual − T_j``) of block ``lo:hi``, every row's
+    length checked against its residual: the children with the rows back
+    in state order, and for each period of the block's own (count-sorted)
+    order its position in the state-ordered array."""
+    _check_block(rows, lo, hi, residuals)
+    states = rows.states[lo:hi]
+    counts = rows.counts[lo:hi]
+    sums = _Rows(_block_periods(rows, lo, hi), counts)
+    own = residuals[states]
+    state_counts = np.empty_like(counts)
+    state_counts[states - lo] = counts
+    position = np.arange(sums.finish.size) + np.repeat(
+        _offsets(state_counts)[states - lo] - sums.starts, counts)
+    ordered = np.empty_like(sums.finish)
+    ordered[position] = np.repeat(own, counts) - sums.finish
+    return ordered, position
+
+
+def _block_work(rows: _ScheduleRows, lo: int, hi: int,
+                c: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block ``lo:hi``'s row starts, per-row work if uninterrupted and
+    per-period work banked before the period (the running sum of
+    ``t ⊖ c`` through the period before), as :class:`_Rows` sums them."""
+    counts = rows.counts[lo:hi]
+    works = np.maximum(_block_periods(rows, lo, hi) - c, 0.0)
+    starts = _offsets(counts)
+    (running,) = _row_prefix_sums([works], counts, starts)
+    banked = np.empty_like(running)
+    banked[1:] = running[:-1]
+    banked[starts] = 0.0
+    return starts, _row_sums(works, counts, starts), banked
+
+
+class _FirstReach:
+    """The states of the level below, numbered in first-reach order.
+
+    Children arrive block by block, each block's in state order.  A
+    block's distinct memo keys are found with one stable argsort (the
+    first occurrence of a key is its representative); keys the earlier
+    blocks of the level already reached keep their state, the others take
+    the next states in the order the block first reaches them.  That is
+    the order a single pass over the whole level would find them in.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0)                  # reached keys, sorted
+        self.ids = np.empty(0, dtype=np.int64)   # their states
+        self.found: List[np.ndarray] = []        # new residuals, per block
+
+    def edges(self, children: np.ndarray, keys_of) -> np.ndarray:
+        """The state each child (in state order) lands on: int32, −1 for a
+        non-positive child, which ends the game.  ``keys_of`` returns a
+        new array of memo keys."""
+        keys = keys_of(children)
+        keys[children <= 0.0] = -np.inf  # the ended games sort first
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        group = np.cumsum(first) - 1  # of each child in key order
+        distinct = ordered[first]
+        representative = order[first]  # the first child with each key
+        ended = bool(distinct.size) and distinct[0] == -np.inf
+        if ended:
+            distinct, representative = distinct[1:], representative[1:]
+        reach = np.sort(representative)
+        rank = np.searchsorted(reach, representative)  # of each key
+        count = self.ids.size
+        if count:
+            at = np.searchsorted(self.keys, distinct)
+            seen = self.keys[np.minimum(at, count - 1)] == distinct
+            new = ~seen
+            new_in_reach = np.zeros(new.size, dtype=bool)
+            new_in_reach[rank] = new
+            state = (count - 1 + np.cumsum(new_in_reach))[rank]
+            state[seen] = self.ids[at[seen]]
+            self.keys = np.insert(self.keys, at[new], distinct[new])
+            self.ids = np.insert(self.ids, at[new], state[new])
+            reach = reach[new_in_reach]
+        else:
+            state = rank
+            self.keys, self.ids = distinct, rank
+        self.found.append(children[reach])
+        if ended:
+            state = np.concatenate([[-1], state])
+        edges = np.empty(keys.size, dtype=np.int32)
+        edges[order] = state[group]
+        return edges
+
+    def residuals(self) -> np.ndarray:
+        """The representative residual of every state, by state."""
+        return np.concatenate(self.found) if self.found else np.empty(0)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -608,17 +679,6 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(counts.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return offsets
-
-
-def _first_reached(keys: np.ndarray) -> np.ndarray:
-    """Indices of each distinct key's first occurrence, in occurrence order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    reached = np.zeros(keys.size, dtype=bool)
-    reached[order[first]] = True
-    return np.flatnonzero(reached)
 
 
 def _period_counts(schedules: Sequence[EpisodeSchedule]) -> np.ndarray:
@@ -663,19 +723,26 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
       level and every row's length once per block;
     * each sweep handles a level in one array pass per block of whole
       states holding at most :data:`_BLOCK_PERIODS` periods, the blocks
-      the rows are laid out in: the children of every state of the block
-      at once, one ``searchsorted`` for their continuation values on the
-      level below, and one ``np.minimum.reduceat`` for the adversary's
-      minimisation over "interrupt at the last instant of period j" of
-      every state.  Period prefix sums are row-sequential (the reference's
-      ``+=`` order, see :class:`_Rows`), so every value is bit-identical to
-      the per-state evaluation, and the children are recomputed in the
-      upward sweep rather than kept, so memory stays bounded by a block.
+      the rows are laid out in.  Downwards, the children of every state of
+      the block at once and their memo keys, whose one stable argsort
+      finds the level below and each period's *edge*, the state its
+      child lands on (int32, ``-1`` when the child ends the game; see
+      :class:`_FirstReach`).  Upwards, only the work sums, the
+      continuation values gathered through the edges, and one
+      ``np.minimum.reduceat`` for the adversary's minimisation over
+      "interrupt at the last instant of period j" of every state.  Period
+      prefix sums are row-sequential (the reference's ``+=`` order, see
+      :class:`_Rows`), so every value is bit-identical to the per-state
+      evaluation; a level holds its rows and one edge per period between
+      the sweeps, and every other array is bounded by a block.
 
     States are deduplicated exactly like the reference memo: levels
     ``q >= 1`` on the residual rounded to ``residual_grain`` (keeping the
-    first-reached representative, found with a stable argsort), level
-    ``0`` on the exact residual (the reference never memoises ``p = 0``).
+    first-reached representative), level ``0`` on the exact residual (the
+    reference never memoises ``p = 0``).  A rounded key stays a float:
+    that is as injective as the reference's ``int(round(x))``, where an
+    int64 key would wrap above ``2**63`` and merge states.  A lifespan
+    whose key is infinite raises ``OverflowError``, as the reference does.
     On gap sweeps over the guideline schedulers this kernel is an order of
     magnitude faster than the reference (see
     ``benchmarks/results/referee_speedup.*``).
@@ -687,63 +754,57 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     if lifespan <= 0.0:
         return 0.0
 
-    def lookup_keys(residuals: np.ndarray, level: int) -> np.ndarray:
-        # The memo key of a state on ``level``: the exact residual on
-        # level 0, the residual rounded to the grain above it.
-        if level == 0:
-            return residuals
-        return np.rint(residuals / residual_grain).astype(np.int64)
+    if p_max > 0 and not math.isfinite(lifespan / residual_grain):
+        # Every residual is at most the lifespan, so every other key is
+        # finite; the reference's int(round(inf)) raises the same error.
+        raise OverflowError(f"memo key of residual {lifespan!r} at "
+                            f"residual_grain {residual_grain!r} is not finite")
+
+    def rounded_keys(residuals: np.ndarray) -> np.ndarray:
+        # The memo key above level 0: the residual rounded to the grain,
+        # kept as a float (see the docstring).
+        keys = np.divide(residuals, residual_grain)
+        return np.rint(keys, out=keys)
 
     # ------------------------------------------------------------------
     # Phase 1: discover the state lattice level by level, downwards.
     # levels[q] holds the representative residuals of level q in
-    # first-reach order.
+    # first-reach order; edges[q] the state each period of level q's
+    # rows interrupts into, block by block.
     # ------------------------------------------------------------------
     levels: List[np.ndarray] = [np.empty(0)] * (p_max + 1)
     rows: List[Optional[_ScheduleRows]] = [None] * (p_max + 1)
+    edges: List[List[np.ndarray]] = [[] for _ in range(p_max + 1)]
 
     levels[p_max] = np.array([lifespan], dtype=float)
     for q in range(p_max, 0, -1):
         rows[q] = _level_rows(scheduler, levels[q], q, c)
-        found_keys: List[np.ndarray] = []
-        found: List[np.ndarray] = []
+        reach = _FirstReach()
+        # The level below is keyed on the exact residual on level 0.
+        keys_of = rounded_keys if q > 1 else np.copy
         for lo, hi in rows[q].blocks:
-            children = _Block(rows[q], lo, hi, levels[q], c, with_work=False,
-                              check=True).children_in_state_order()
-            alive = children[children > 0.0]
-            keys = lookup_keys(alive, q - 1)
-            first = _first_reached(keys)
-            found_keys.append(keys[first])
-            found.append(alive[first])
-        if found:
-            # First reach within each block, then across blocks in order.
-            keys = np.concatenate(found_keys)
-            levels[q - 1] = np.concatenate(found)[_first_reached(keys)]
+            children, position = _block_children(rows[q], lo, hi, levels[q])
+            edges[q].append(reach.edges(children, keys_of)[position])
+        levels[q - 1] = reach.residuals()
 
     # ------------------------------------------------------------------
-    # Phase 2: evaluate upwards from level 0.
+    # Phase 2: evaluate upwards from level 0.  values[q] ends in a 0.0,
+    # the value of the edge -1.
     # ------------------------------------------------------------------
     rows[0] = _level_rows(scheduler, levels[0], 0, c)
+    for lo, hi in rows[0].blocks:
+        _check_block(rows[0], lo, hi, levels[0])
     for q in range(0, p_max + 1):
-        values = np.empty(levels[q].size)
-        for lo, hi in rows[q].blocks:
-            block = _Block(rows[q], lo, hi, levels[q], c, with_work=True,
-                           check=q == 0)
-            block_values = block.uninterrupted
+        values = np.zeros(levels[q].size + 1)
+        for k, (lo, hi) in enumerate(rows[q].blocks):
+            starts, block_values, banked = _block_work(rows[q], lo, hi, c)
             if q > 0:
                 # Adversary options: work banked before period j plus the
                 # continuation value, against "no interrupt" as baseline.
-                children = block.children
-                alive = children > 0.0
-                continuation = np.zeros(children.size)
-                continuation[alive] = below_values[np.searchsorted(
-                    below_keys, lookup_keys(children[alive], q - 1))]
                 block_values = np.minimum(block_values, np.minimum.reduceat(
-                    block.banked + continuation, block.starts))
-            values[block.states] = block_values
-        # Sorted lookup keys of this level for the level above.
-        keys = lookup_keys(levels[q], q)
-        order = np.argsort(keys, kind="stable")
-        below_keys, below_values = keys[order], values[order]
+                    banked + below[edges[q][k]], starts))
+            values[rows[q].states[lo:hi]] = block_values
+        rows[q], edges[q] = None, []
+        below = values
     # Level p_max holds one state: the full lifespan.
     return float(values[0])

@@ -56,14 +56,17 @@ import io
 import json
 import os
 import re
+import struct
 import sys
 import tempfile
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from .core.exceptions import CycleStealingError
 from .experiments.profiling import render_profile
@@ -172,13 +175,6 @@ def _row_arrays(row: Dict[str, Any]) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _shard_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    """The deterministic ``.npz`` bytes of validated row arrays."""
-    buffer = io.BytesIO()
-    _write_npz_deterministic(buffer, arrays)
-    return buffer.getvalue()
-
-
 def row_to_shard_bytes(row: Dict[str, Any]) -> bytes:
     """Serialize one result row to the exact bytes its ``.npz`` shard holds.
 
@@ -191,7 +187,7 @@ def row_to_shard_bytes(row: Dict[str, Any]) -> bytes:
     merely plausible, and makes a multi-worker cluster run byte-identical
     to a single-machine ``--jobs`` run of the same spec.
     """
-    return _shard_bytes(_row_arrays(row))
+    return _npz_bytes(_row_arrays(row))
 
 
 def write_row_shard(path: Union[str, os.PathLike], row: Dict[str, Any]) -> None:
@@ -290,26 +286,86 @@ def row_from_shard_bytes(data: bytes) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Columnar sidecar: deterministic .npz writing and row <-> column packing
 # ----------------------------------------------------------------------
-def _write_npz_deterministic(handle, arrays: Dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` whose bytes depend only on the array contents.
+#: zipfile gives a member zip64 extras once ``size × 1.05`` passes this, and
+#: the archive zip64 records once an offset or the directory size does;
+#: :func:`_npz_bytes` raises instead.
+_ZIP64_LIMIT = (1 << 31) - 1
+#: zipfile writes zip64 records for more members than this.
+_ZIP_COUNT_LIMIT = (1 << 16) - 1
+#: zipfile's ``ZipInfo.create_system``.
+_ZIP_CREATE_SYSTEM = 0 if sys.platform == "win32" else 3
+#: Member flag zipfile sets for a name that is not ASCII.
+_ZIP_UTF8 = 1 << 11
+#: 1980-01-01 as a DOS date (the time is 00:00:00, a DOS time of 0).
+_ZIP_EPOCH_DATE = (1 << 5) | 1
+#: ``.npy`` header of each 0-d array dtype already written, by ``dtype.str``.
+_NPY_HEADERS: Dict[str, bytes] = {}
+
+
+def _npy_bytes(array: np.ndarray) -> bytes:
+    """``numpy.lib.format.write_array``'s bytes for ``array``."""
+    simple = (array.ndim == 0 and array.dtype.kind in "biufcmMSU"
+              and array.dtype.metadata is None)
+    header = _NPY_HEADERS.get(array.dtype.str) if simple else None
+    if header is not None:
+        return header + array.tobytes()
+    buffer = io.BytesIO()
+    npformat.write_array(buffer, array, allow_pickle=False)
+    data = buffer.getvalue()
+    if simple:
+        _NPY_HEADERS[array.dtype.str] = data[:len(data) - array.nbytes]
+    return data
+
+
+def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
+    """The ``.npz`` bytes of ``arrays``, a pure function of their contents.
 
     ``np.savez_compressed`` stamps each zip member with the current local
-    time, so two consolidations of identical rows differ at the byte
-    level and would spuriously invalidate the report digest cache.  This
-    writer pins every member's timestamp to the zip epoch; deflate itself
-    is deterministic, so identical rows yield an identical sidecar — on a
-    resumed run just as on an uninterrupted one.
-    """
-    from numpy.lib import format as npformat
+    time, so two consolidations of identical rows would differ at the
+    byte level and spuriously invalidate the report digest cache.  Here
+    every member is stamped with the zip epoch; deflate itself is
+    deterministic, so identical rows yield an identical shard or sidecar —
+    on a resumed run just as on an uninterrupted one.
 
-    with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED) as archive:
-        for name, array in arrays.items():
-            buffer = io.BytesIO()
-            npformat.write_array(buffer, np.asarray(array), allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
-            info.external_attr = 0o600 << 16
-            archive.writestr(info, buffer.getvalue())
+    The bytes are what ``zipfile`` writes for deflated ``<name>.npy``
+    members with that stamp and ``0o600`` permissions, packed directly:
+    per member a local header and the raw deflate stream at zlib's default
+    level (zipfile's compressor), then the central directory and the end
+    record.  An archive zipfile would give zip64 records raises
+    :class:`RunStoreError`.
+    """
+    records: List[bytes] = []
+    directory: List[bytes] = []
+    offset = 0
+    for name, array in arrays.items():
+        data = _npy_bytes(np.asarray(array))
+        member = (name + ".npy").split("\0", 1)[0]  # as zipfile cuts it
+        try:
+            encoded, flags = member.encode("ascii"), 0
+        except UnicodeEncodeError:
+            encoded, flags = member.encode("utf-8"), _ZIP_UTF8
+        packed = zlib.compress(data, -1, -15)
+        if (len(data) * 1.05 > _ZIP64_LIMIT or len(packed) > _ZIP64_LIMIT
+                or offset > _ZIP64_LIMIT):
+            raise RunStoreError(f"array {name!r} ({len(data)} bytes at offset "
+                                f"{offset}) would need a zip64 archive")
+        fields = (flags, zipfile.ZIP_DEFLATED, 0, _ZIP_EPOCH_DATE,
+                  zlib.crc32(data), len(packed), len(data), len(encoded))
+        records += [struct.pack("<4s2B4HL2L2H", b"PK\003\004", 20, 0,
+                                *fields, 0), encoded, packed]
+        directory += [struct.pack("<4s4B4HL2L5H2L", b"PK\001\002", 20,
+                                  _ZIP_CREATE_SYSTEM, 20, 0, *fields, 0, 0,
+                                  0, 0, 0o600 << 16, offset), encoded]
+        offset += 30 + len(encoded) + len(packed)
+    listing = b"".join(directory)
+    count = len(directory) // 2
+    if (count > _ZIP_COUNT_LIMIT or offset > _ZIP64_LIMIT
+            or len(listing) > _ZIP64_LIMIT):
+        raise RunStoreError(f"{count} arrays ({offset} bytes) would need a "
+                            "zip64 archive")
+    end = struct.pack("<4s4H2LH", b"PK\005\006", 0, 0, count, count,
+                      len(listing), offset, 0)
+    return b"".join(records) + listing + end
 
 
 #: Scalar python types a column must hold (homogeneously) to be columnar,
@@ -562,7 +618,7 @@ class Run:
         # Array values are copied: the caller may reuse its arrays.
         held = _row_from_arrays({key: array.copy() if array.ndim else array
                                  for key, array in arrays.items()})
-        self._publish_shard(index, _shard_bytes(arrays), held)
+        self._publish_shard(index, _npz_bytes(arrays), held)
 
     def write_point_bytes(self, index: int, data: bytes) -> None:
         """Persist pre-serialized shard bytes for one point (atomic).
@@ -812,7 +868,7 @@ class Run:
         fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                _write_npz_deterministic(handle, arrays)
+                handle.write(_npz_bytes(arrays))
             delay = os.environ.get(_CONSOLIDATE_DELAY_ENV)
             if delay:  # test-only kill window, see _CONSOLIDATE_DELAY_ENV
                 with open(os.path.join(self.root, ".consolidating"), "w"):
@@ -912,7 +968,7 @@ class Run:
                     and self._shard_stat_snapshot() == before:
                 try:
                     self._publish_sidecar(packed)
-                except OSError:
+                except (OSError, RunStoreError):
                     pass
                 self._vouch_after_read(indices, before)
         data = {name[len(_COL_PREFIX):]: column

@@ -30,7 +30,7 @@ explicit: the frontmost period simply absorbs whatever lifespan is left.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +53,34 @@ def _closed_form_oracle(residual: float, interrupts: int, setup_cost: float) -> 
     return bounds.closed_form_optimal_work(residual, setup_cost, interrupts)
 
 
+#: Most backward prefixes the process-wide cache keeps; past it the least
+#: recently used one is dropped.
+_SHARED_PREFIX_LIMIT = 32
+
+#: Backward prefixes of every guideline scheduler that has no oracle of its
+#: own, keyed by ``(class, tail_epsilon, max_periods, p, c)``, least
+#: recently used first.  It takes no lock (a process pool forked while
+#: another thread held one would deadlock its workers): a published prefix
+#: is never mutated, and extending one publishes an extended copy with one
+#: dict assignment, so a reader in any thread sees a whole prefix.
+_SHARED_PREFIXES: Dict[tuple, "_BackwardPrefix"] = {}
+
+
+def _cached_prefix(cache: dict, key: tuple) -> Optional["_BackwardPrefix"]:
+    """``cache[key]`` (None if absent), moved to the most recently used end."""
+    state = cache.pop(key, None)
+    if state is not None:
+        cache[key] = state
+    return state
+
+
+def _publish_prefix(cache: dict, key: tuple, state: "_BackwardPrefix") -> None:
+    cache[key] = state
+    if cache is _SHARED_PREFIXES and len(cache) > _SHARED_PREFIX_LIMIT:
+        for stale in list(cache)[:-_SHARED_PREFIX_LIMIT]:
+            cache.pop(stale, None)
+
+
 class _BackwardPrefix:
     """Shared backward construction state for one ``(p, c)`` episode family.
 
@@ -64,10 +92,13 @@ class _BackwardPrefix:
     lazily-extended prefix therefore serves every residual of a batch, and
     each row's schedule is a slice of it plus its own front period — with
     float-for-float the same values as the scalar construction.
+
+    A cached prefix is frozen: :meth:`freeze` derives the arrays the
+    assembly reads, and extending it starts from a :meth:`copy`.
     """
 
     __slots__ = ("short", "tail_count", "tail_end", "body_t", "body_placed",
-                 "prev_t", "placed", "capped")
+                 "prev_t", "placed", "capped", "arrays")
 
     def __init__(self, short: float, tail_count: int, tail_end: float,
                  prev_t: float, capped: bool):
@@ -79,6 +110,57 @@ class _BackwardPrefix:
         self.prev_t = prev_t
         self.placed = tail_end
         self.capped = capped              # max_periods reached while extending
+        # (body_t, placed before each body period and after the last one,
+        # reversed placement order) as arrays, set by freeze()
+        self.arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def copy(self) -> "_BackwardPrefix":
+        """An unfrozen copy to extend."""
+        twin = _BackwardPrefix(self.short, self.tail_count, self.tail_end,
+                               self.prev_t, self.capped)
+        twin.body_t = list(self.body_t)
+        twin.body_placed = list(self.body_placed)
+        twin.placed = self.placed
+        return twin
+
+    def freeze(self) -> None:
+        body_t = np.array(self.body_t, dtype=float)
+        placed = np.array([self.tail_end, *self.body_placed])
+        placement = np.concatenate([body_t[::-1],
+                                    np.full(self.tail_count, self.short)])
+        self.arrays = (body_t, placed, placement)
+
+
+def _cut_offs(lifespans: np.ndarray, placed: np.ndarray,
+              body_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the scalar loop closes each residual's schedule.
+
+    The loop stops at the first body period ``j`` with ``body_t[j] >=
+    (L − placed[j]) − 1e-12`` and lets the front period absorb the
+    remainder.  ``placed[j + 1] = placed[j] + body_t[j]`` is non-decreasing
+    (every body period is positive), and up to rounding the test reads
+    ``placed[j + 1] >= L``: it fails wherever ``placed[j + 1] < L − δ`` and
+    holds wherever ``placed[j + 1] > L + δ``, for a slack ``δ = 1e-9·L +
+    1e-9`` far above the rounding of either side (≤ 3u·L + 1e-12).  Two
+    ``searchsorted`` calls bracket each row's cut-off within that window,
+    and the exact test runs only inside it (0–2 periods a row); with no
+    period passing there, the cut-off is the window's top.  Returns, per
+    residual, whether the body stops it at all and at which period.
+    """
+    body_placed = placed[1:]
+    slack = 1e-9 * lifespans + 1e-9
+    lo = np.searchsorted(body_placed, lifespans - slack, side="left")
+    cut = np.searchsorted(body_placed, lifespans + slack, side="right")
+    width = cut - lo
+    if width.any():
+        row = np.repeat(np.arange(lifespans.size), width)
+        period = np.arange(row.size) + np.repeat(lo - _offsets(width), width)
+        stops = body_t[period] >= (lifespans[row] - placed[period]) - 1e-12
+        row, period = row[stops], period[stops]
+        first = np.ones(row.size, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        cut[row[first]] = period[first]
+    return cut < body_t.size, cut
 
 
 def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
@@ -111,33 +193,18 @@ def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
     scalar = ~single
     placement = np.empty(0)               # reversed placement order
     if state is not None and not state.capped:
-        body_t = np.asarray(state.body_t)
-        placement = np.concatenate([body_t[::-1],
-                                    np.full(state.tail_count, state.short)])
+        body_t, placed, placement = state.arrays
         tail_only = scalar & positive & (lifespans == state.tail_end)
         front[tail_only] = state.short
         suffix[tail_only] = state.tail_count - 1
         scalar &= ~tail_only
-        rows = np.flatnonzero(scalar & (lifespans > state.tail_end))
+        rows = np.flatnonzero(scalar & positive & (lifespans > state.tail_end))
         if rows.size and body_t.size:
-            placed_before = np.empty(body_t.size)
-            placed_before[0] = state.tail_end
-            placed_before[1:] = state.body_placed[:-1]
-            # The scalar loop stops at the first body period with
-            # ``t >= remaining - 1e-12`` and lets the front period absorb
-            # the remainder; replaying the comparison element-for-element
-            # keeps the cut-off (and the front period's value)
-            # bit-identical.  The rows × body matrix is the batch's
-            # largest array, so it is shifted in place.
-            gap = lifespans[rows, None] - placed_before
-            gap -= 1e-12
-            stop = body_t >= gap
-            del gap
-            cut = stop.argmax(axis=1)
-            served = stop.any(axis=1) & (state.tail_count + cut + 1 <= max_periods)
-            del stop
+            stopped, cut = _cut_offs(lifespans[rows], placed, body_t)
+            served = stopped & (state.tail_count + cut + 1 <= max_periods)
             rows, cut = rows[served], cut[served]
-            lead = lifespans[rows] - placed_before[cut]
+            # The same subtraction as the scalar loop's front period.
+            lead = lifespans[rows] - placed[cut]
             merge = (lead < max(c, 1e-12) * 1e-6) & (state.tail_count + cut >= 1)
             neighbour = np.where(cut > 0, body_t[cut - 1], state.short)
             front[rows] = np.where(merge, neighbour + lead, lead)
@@ -185,9 +252,48 @@ def _assemble_from_prefix(scheduler, values: List[float], p: int, c: float,
 
 
 class _BackwardScheduler(AdaptiveScheduler):
-    """The batch construction both guideline schedulers share; each
-    extends its own prefix (``_ensure_prefix``) up to a batch's longest
-    residual."""
+    """The batch construction both guideline schedulers share.
+
+    A batch is served by the ``(p, c)`` prefix (``_ensure_prefix``),
+    extended up to its longest residual.  Prefixes live in the
+    process-wide cache whenever the construction uses no oracle of its
+    own, so every instance (the gap sweep builds one per point) extends
+    one prefix; each subclass supplies its tail (``_start_prefix``) and
+    one body step (``_extend_body``).
+    """
+
+    def _shares_prefixes(self) -> bool:
+        return True
+
+    def _ensure_prefix(self, p: int, c: float,
+                       limit: float) -> Optional[_BackwardPrefix]:
+        """The prefix of ``(p, c)``, long enough that every residual up to
+        ``limit`` finds its cut-off, plus one spare period."""
+        if self._shares_prefixes():
+            cache = _SHARED_PREFIXES
+            key = (type(self), self.tail_epsilon, self.max_periods, p, c)
+        else:
+            cache, key = self._prefix_cache, (p, c)
+        state = _cached_prefix(cache, key)
+        publish = state is None
+        if publish:
+            state, publish = self._start_prefix(p, c, limit)
+        extend = (not state.capped and state.tail_count > 0
+                  and (state.placed <= limit or len(state.body_placed) < 2
+                       or state.body_placed[-2] <= limit))
+        if extend:
+            if not publish:  # never extend a prefix another batch may hold
+                state = state.copy()
+            while state.placed <= limit and not state.capped:
+                self._extend_body(state, p, c)
+            if len(state.body_placed) < 2 or state.body_placed[-2] <= limit:
+                self._extend_body(state, p, c)  # one spare: every row finds its cut-off
+            publish = True
+        if state.arrays is None:
+            state.freeze()
+        if publish:
+            _publish_prefix(cache, key, state)
+        return state
 
     def _episode_rows(self, residual_lifespans, interrupts_remaining: int,
                       setup_cost: float) -> _ScheduleRows:
@@ -326,46 +432,40 @@ class EqualizingAdaptiveScheduler(_BackwardScheduler):
                                   setup_cost).schedules()
 
 
-    def _ensure_prefix(self, p: int, c: float,
-                       limit: float) -> Optional[_BackwardPrefix]:
-        key = (p, c)
-        state = self._prefix_cache.get(key)
+    def _shares_prefixes(self) -> bool:
+        # A prefix is a function of the oracle: only the default one is
+        # the same in every instance.
+        return self.oracle is _closed_form_oracle
+
+    def _start_prefix(self, p: int, c: float, limit: float):
+        """The tail of a new prefix, and whether it may be cached."""
         tol = 1e-12 * max(c, 1.0)
-        if state is None:
-            short = (1.0 + self.tail_epsilon) * c
-            placed = 0.0
-            count = 0
-            capped = False
-            # The ℓ_p transition: short periods while the residual behind the
-            # current position is still in the zero-work region (the scalar
-            # loop's L-cutoff only truncates rows the assembly falls back on).
-            # A degenerate oracle that never leaves the zero-work region must
-            # not spin to max_periods: a tail longer than every residual of
-            # the batch serves no row, so cap there and let the scalar
-            # construction (bounded by its own L-cutoff) handle everything.
-            limit_capped = False
-            while self.oracle(placed, p - 1, c) <= tol:
-                if count >= self.max_periods:
-                    capped = True
-                    break
-                if placed > limit:
-                    capped = limit_capped = True
-                    break
-                placed += short
-                count += 1
-            state = _BackwardPrefix(short=short, tail_count=count, tail_end=placed,
-                                    prev_t=short, capped=capped)
-            if not limit_capped:
-                # A limit-induced cap is batch-specific — a later batch with
-                # larger residuals must rebuild rather than inherit it.
-                self._prefix_cache[key] = state
-        if state.capped or state.tail_count == 0:
-            return state
-        while state.placed <= limit and not state.capped:
-            self._extend_body(state, p, c)
-        if len(state.body_placed) < 2 or state.body_placed[-2] <= limit:
-            self._extend_body(state, p, c)  # one spare: every row finds its cut-off
-        return state
+        short = (1.0 + self.tail_epsilon) * c
+        placed = 0.0
+        count = 0
+        capped = False
+        # The ℓ_p transition: short periods while the residual behind the
+        # current position is still in the zero-work region (the scalar
+        # loop's L-cutoff only truncates rows the assembly falls back on).
+        # A degenerate oracle that never leaves the zero-work region must
+        # not spin to max_periods: a tail longer than every residual of
+        # the batch serves no row, so cap there and let the scalar
+        # construction (bounded by its own L-cutoff) handle everything.
+        limit_capped = False
+        while self.oracle(placed, p - 1, c) <= tol:
+            if count >= self.max_periods:
+                capped = True
+                break
+            if placed > limit:
+                capped = limit_capped = True
+                break
+            placed += short
+            count += 1
+        state = _BackwardPrefix(short=short, tail_count=count, tail_end=placed,
+                                prev_t=short, capped=capped)
+        # A limit-induced cap is batch-specific — a later batch with
+        # larger residuals must rebuild rather than inherit it.
+        return state, not limit_capped
 
     def _extend_body(self, state: _BackwardPrefix, p: int, c: float) -> None:
         if state.capped:
@@ -415,7 +515,6 @@ class RosenbergAdaptiveScheduler(_BackwardScheduler):
             raise ValueError(f"tail_epsilon must lie in (0, 1], got {tail_epsilon!r}")
         self.tail_epsilon = float(tail_epsilon)
         self.max_periods = int(max_periods)
-        self._prefix_cache: dict = {}
 
     @staticmethod
     def tail_period_count(interrupts_remaining: int) -> int:
@@ -482,32 +581,20 @@ class RosenbergAdaptiveScheduler(_BackwardScheduler):
         return self._episode_rows(residual_lifespans, interrupts_remaining,
                                   setup_cost).schedules()
 
-    def _ensure_prefix(self, p: int, c: float,
-                       limit: float) -> Optional[_BackwardPrefix]:
-        key = (p, c)
-        state = self._prefix_cache.get(key)
-        if state is None:
-            short = (1.0 + self.tail_epsilon) * c
-            placed = 0.0
-            count = self.tail_period_count(p)
-            for _ in range(count):
-                placed += short
-            state = _BackwardPrefix(short=short, tail_count=count, tail_end=placed,
-                                    prev_t=short, capped=count >= self.max_periods)
-            self._prefix_cache[key] = state
-        if state.capped or state.tail_count == 0:
-            return state
-        increment = self.period_increment(p, c)
-        while state.placed <= limit and not state.capped:
-            self._extend_body(state, increment)
-        if len(state.body_placed) < 2 or state.body_placed[-2] <= limit:
-            self._extend_body(state, increment)  # one spare: every row finds its cut-off
-        return state
+    def _start_prefix(self, p: int, c: float, limit: float):
+        """The tail of a new prefix, and whether it may be cached (always)."""
+        short = (1.0 + self.tail_epsilon) * c
+        placed = 0.0
+        count = self.tail_period_count(p)
+        for _ in range(count):
+            placed += short
+        return _BackwardPrefix(short=short, tail_count=count, tail_end=placed,
+                               prev_t=short, capped=count >= self.max_periods), True
 
-    def _extend_body(self, state: _BackwardPrefix, increment: float) -> None:
+    def _extend_body(self, state: _BackwardPrefix, p: int, c: float) -> None:
         if state.capped:
             return
-        t = state.prev_t + increment
+        t = state.prev_t + self.period_increment(p, c)
         state.body_t.append(t)
         state.placed += t
         state.body_placed.append(state.placed)

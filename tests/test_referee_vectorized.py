@@ -96,6 +96,50 @@ class TestGuaranteedAdaptiveWorkEquivalence:
             EqualizingAdaptiveScheduler(), params)
         assert _rel_close(fast, reference)
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(["equalizing-adaptive", "rosenberg-adaptive",
+                            "fixed-period"]),
+           st.floats(min_value=10.0, max_value=2500.0),
+           st.floats(min_value=0.1, max_value=4.0),
+           st.integers(min_value=0, max_value=3),
+           st.floats(min_value=-9.0, max_value=0.5))
+    def test_random_points_and_grains_match_reference(self, name, lifespan, c,
+                                                      p, log_grain):
+        # The state graph the upward sweep reads (each period's child
+        # state, found while discovering the level below) must give the
+        # reference's memoised minimax at any grain, coarse grains merging
+        # many children into one state.
+        params = CycleStealingParams(lifespan=lifespan, setup_cost=c,
+                                     max_interrupts=p)
+        grain = 10.0 ** log_grain
+        fast = guaranteed_adaptive_work(make_scheduler(name, params), params,
+                                        residual_grain=grain)
+        reference = guaranteed_adaptive_work_reference(
+            make_scheduler(name, params), params, residual_grain=grain)
+        assert _rel_close(fast, reference), (fast, reference)
+
+    @pytest.mark.parametrize("grain", [1e-15, 1e-16, 1e-18])
+    def test_memo_keys_past_int64_do_not_merge_states(self, grain):
+        # residual / grain passes 2**63 here: int64 keys wrapped, merged
+        # states and returned 19675.0207 (1e-15) or 19675.0929 (1e-16).
+        from repro.schedules import EqualizingAdaptiveScheduler
+
+        params = CycleStealingParams(20000.0, 1.0, 2)
+        fast = guaranteed_adaptive_work(EqualizingAdaptiveScheduler(), params,
+                                        residual_grain=grain)
+        reference = guaranteed_adaptive_work_reference(
+            EqualizingAdaptiveScheduler(), params, residual_grain=grain)
+        assert fast == reference == 19675.01758895491
+
+    @pytest.mark.parametrize("referee", [guaranteed_adaptive_work,
+                                         guaranteed_adaptive_work_reference])
+    def test_infinite_memo_key_raises(self, referee):
+        from repro.schedules import EqualizingAdaptiveScheduler
+
+        with pytest.raises(OverflowError):
+            referee(EqualizingAdaptiveScheduler(),
+                    CycleStealingParams(1e10, 1.0, 1), residual_grain=1e-300)
+
 
 class TestWorstCasePatternEquivalence:
     @settings(deadline=None, max_examples=120)

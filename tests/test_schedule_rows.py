@@ -9,6 +9,7 @@ lays a whole batch out in array passes and must reproduce the scalar
 ``episode_schedule`` bit for bit in every branch of the assembly.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import game
 from repro.core.exceptions import InvalidScheduleError, SchedulingError
 from repro.core.schedule import EpisodeSchedule, exceeds_lifespan
+from repro.schedules import adaptive
 from repro.schedules import (
     EqualizingAdaptiveScheduler,
     FixedPeriodScheduler,
@@ -203,6 +205,80 @@ class TestGuidelineBatchBranches:
         with pytest.raises(type(scalar.value)) as batch:
             scheduler.episode_schedule_batch([50.0, residual, 7.0], p, c)
         assert str(batch.value) == str(scalar.value)
+
+
+def _matrix_cut_offs(lifespans, placed, body_t):
+    """The oracle: the rows × body matrix the assembly built before it
+    bisected, the scalar loop's stop test at every body period of every
+    row (first passing period, and whether any passes)."""
+    stop = body_t >= (lifespans[:, None] - placed[:-1]) - 1e-12
+    return stop.any(axis=1), stop.argmax(axis=1)
+
+
+def _assert_cut_offs_match(lifespans, placed, body_t):
+    stopped, cut = adaptive._cut_offs(lifespans, placed, body_t)
+    want_stopped, want_cut = _matrix_cut_offs(lifespans, placed, body_t)
+    assert stopped.tolist() == want_stopped.tolist()
+    assert cut[stopped].tolist() == want_cut[want_stopped].tolist()
+
+
+def _probes(placed, rng, n):
+    """Residuals at, one ulp around, 1e-12 and 1e-9·L around, and between
+    the placed totals, and past the end."""
+    exact = rng.choice(placed, n)
+    return np.concatenate([
+        exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf),
+        exact + 1e-12, exact - 1e-12, exact * (1 + 1e-9) + 1e-9,
+        exact * (1 - 1e-9) - 1e-9,
+        rng.uniform(placed[0], placed[-1] * 1.01 + 1.0, n)])
+
+
+def _wavy_oracle(residual, q, c):
+    """A work estimate whose equalising periods go up and down."""
+    if residual <= (q + 1) * c:
+        return 0.0
+    return (residual - (q + 1) * c) * (1.0 + 0.4 * math.sin(residual / (3 * c)))
+
+
+class TestCutOffs:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ragged", "equal", "tiny"]))
+    def test_bisection_is_the_matrix(self, seed, shape):
+        # Any positive body: ragged (non-monotone), equal, or periods far
+        # below the 1e-9·L slack, so one window holds many of them.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        scale = 10.0 ** rng.uniform(-6, 4)
+        body_t = scale * {"ragged": rng.random(n) + 1e-3, "equal": np.ones(n),
+                          "tiny": 10.0 ** rng.uniform(-16, -10, n)}[shape]
+        placed = [scale * rng.uniform(0.5, 4.0)]
+        for t in body_t.tolist():  # the prefix's own sequential sums
+            placed.append(placed[-1] + t)
+        placed = np.array(placed)
+        _assert_cut_offs_match(_probes(placed, rng, 60), placed, body_t)
+
+    @pytest.mark.parametrize("make_scheduler", [
+        EqualizingAdaptiveScheduler, RosenbergAdaptiveScheduler,
+        lambda: EqualizingAdaptiveScheduler(oracle=_wavy_oracle)])
+    @pytest.mark.parametrize("p, c", [(1, 1.0), (2, 0.5), (4, 3.0)])
+    def test_guideline_prefixes(self, make_scheduler, p, c):
+        scheduler = make_scheduler()
+        rng = np.random.default_rng(p)
+        residuals = np.concatenate([rng.uniform(2.5 * c, 3000.0 * c, 200),
+                                    _branch_residuals(scheduler, p, c)])
+        state = scheduler._ensure_prefix(p, c, float(residuals.max()))
+        body_t, placed, _ = state.arrays
+        _assert_cut_offs_match(_probes(placed, rng, 100), placed, body_t)
+        batch = scheduler.episode_schedule_batch(residuals.tolist(), p, c)
+        for residual, schedule in zip(residuals.tolist(), batch):
+            scalar = scheduler.episode_schedule(residual, p, c)
+            assert schedule.periods.tobytes() == scalar.periods.tobytes(), residual
+
+    def test_wavy_oracle_bodies_go_up_and_down(self):
+        state = EqualizingAdaptiveScheduler(oracle=_wavy_oracle)._ensure_prefix(
+            2, 1.0, 3000.0)
+        steps = np.diff(state.arrays[0])
+        assert (steps > 0).any() and (steps < 0).any()
 
 
 def test_one_long_row_among_many_singles_stays_small():
